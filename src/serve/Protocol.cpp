@@ -147,6 +147,7 @@ std::string JobResponse::toLine() const {
     if (!FingerprintHex.empty())
       J.set("fingerprint", Json::string(FingerprintHex));
     J.set("wall_ms", Json::number(WallMs));
+    J.set("queue_ms", Json::number(QueueMs));
     if (!Note.empty())
       J.set("note", Json::string(Note));
     if (!Certificate.empty())

@@ -93,7 +93,10 @@ struct JobResponse {
   /// or "" for non-verify ops.
   std::string CacheDisposition;
   std::string FingerprintHex; ///< Program fingerprint (verify only).
-  double WallMs = 0;          ///< Service time including retries/backoff.
+  /// Service time, from a worker's dequeue to the answer, including
+  /// retries and backoff.
+  double WallMs = 0;
+  double QueueMs = 0; ///< Queue wait, from admission to a worker's dequeue.
   std::string Certificate;    ///< Present when requested and available.
   Json Extra;                 ///< "stats" payload for the stats op.
   bool HasExtra = false;

@@ -188,6 +188,7 @@ void Server::workerLoop(unsigned Index) {
       }
       Job = Queue.front();
       Queue.pop_front();
+      Job->Dequeued = std::chrono::steady_clock::now();
       Workers[Index]->ActiveCancel = Job->Cancel;
       // A hard drain that raced this dequeue: it only flipped the flags
       // of jobs that were active *then*, so re-check and self-cancel.
@@ -219,9 +220,9 @@ void Server::runJob(PendingJob &Job, std::unique_ptr<Verifier> &Stack,
   JobResponse R = executeVerify(Job.Req, Stack, *Job.Cancel);
   if (Job.Req.FaultArm)
     fault::disarm();
-  R.WallMs = std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - Job.Submitted)
-                 .count();
+  using Ms = std::chrono::duration<double, std::milli>;
+  R.QueueMs = Ms(Job.Dequeued - Job.Submitted).count();
+  R.WallMs = Ms(std::chrono::steady_clock::now() - Job.Dequeued).count();
   Job.Done(R);
   // Long-lived worker hygiene: a job that bloated the arena retires this
   // stack (terms are arena-allocated and never freed individually, so

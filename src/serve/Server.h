@@ -189,6 +189,8 @@ private:
     JobRequest Req;
     ResponseFn Done;
     std::chrono::steady_clock::time_point Submitted;
+    /// When a worker took the job off the queue (set by workerLoop).
+    std::chrono::steady_clock::time_point Dequeued;
     /// The supervisor's one thread-safe channel into the job (wired as
     /// ResourceLimits::CancelFlag on every attempt's controller).
     std::shared_ptr<std::atomic<bool>> Cancel;

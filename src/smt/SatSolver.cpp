@@ -18,9 +18,70 @@ int SatSolver::addVar() {
   Level.push_back(-1);
   Reason.push_back(-1);
   Activity.push_back(0.0);
+  HeapPos.push_back(-1);
+  heapInsert(Var);
   Watches.emplace_back(); // positive literal
   Watches.emplace_back(); // negative literal
   return Var;
+}
+
+void SatSolver::heapInsert(int Var) {
+  if (HeapPos[Var] >= 0)
+    return;
+  HeapPos[Var] = static_cast<int>(Heap.size());
+  Heap.push_back(Var);
+  heapSiftUp(Heap.size() - 1);
+}
+
+void SatSolver::heapSiftUp(size_t Pos) {
+  int Var = Heap[Pos];
+  while (Pos > 0) {
+    size_t Parent = (Pos - 1) / 2;
+    if (!heapBefore(Var, Heap[Parent]))
+      break;
+    Heap[Pos] = Heap[Parent];
+    HeapPos[Heap[Pos]] = static_cast<int>(Pos);
+    Pos = Parent;
+  }
+  Heap[Pos] = Var;
+  HeapPos[Var] = static_cast<int>(Pos);
+}
+
+void SatSolver::heapSiftDown(size_t Pos) {
+  int Var = Heap[Pos];
+  size_t Size = Heap.size();
+  while (true) {
+    size_t Child = 2 * Pos + 1;
+    if (Child >= Size)
+      break;
+    if (Child + 1 < Size && heapBefore(Heap[Child + 1], Heap[Child]))
+      ++Child;
+    if (!heapBefore(Heap[Child], Var))
+      break;
+    Heap[Pos] = Heap[Child];
+    HeapPos[Heap[Pos]] = static_cast<int>(Pos);
+    Pos = Child;
+  }
+  Heap[Pos] = Var;
+  HeapPos[Var] = static_cast<int>(Pos);
+}
+
+int SatSolver::heapPopTop() {
+  int Top = Heap.front();
+  HeapPos[Top] = -1;
+  int Last = Heap.back();
+  Heap.pop_back();
+  if (!Heap.empty()) {
+    Heap[0] = Last;
+    HeapPos[Last] = 0;
+    heapSiftDown(0);
+  }
+  return Top;
+}
+
+void SatSolver::heapRebuild() {
+  for (size_t I = Heap.size() / 2; I-- > 0;)
+    heapSiftDown(I);
 }
 
 bool SatSolver::addClause(std::vector<Lit> Clause) {
@@ -123,10 +184,10 @@ int SatSolver::propagate() {
   while (PropHead < Trail.size()) {
     Lit L = Trail[PropHead++];
     ++Propagations;
-    // Clauses watching ~L must be inspected.
+    // Clauses watching ~L must be inspected. The list is compacted in
+    // place: Keep trails WI over the entries that stay.
     std::vector<int> &WatchList = Watches[(~L).Value];
-    std::vector<int> Kept;
-    Kept.reserve(WatchList.size());
+    size_t Keep = 0;
     for (size_t WI = 0; WI < WatchList.size(); ++WI) {
       int CI = WatchList[WI];
       Clause &C = Clauses[CI];
@@ -135,10 +196,11 @@ int SatSolver::propagate() {
         std::swap(C.Lits[0], C.Lits[1]);
       assert(C.Lits[1] == ~L && "watch list out of sync");
       if (litTrue(C.Lits[0])) {
-        Kept.push_back(CI);
+        WatchList[Keep++] = CI;
         continue;
       }
-      // Find a replacement watch.
+      // Find a replacement watch (never ~L itself: clause literals are
+      // distinct, so the push below never targets this list).
       bool Found = false;
       for (size_t K = 2; K < C.Lits.size(); ++K) {
         if (!litFalse(C.Lits[K])) {
@@ -151,17 +213,17 @@ int SatSolver::propagate() {
       if (Found)
         continue;
       // Unit or conflicting.
-      Kept.push_back(CI);
+      WatchList[Keep++] = CI;
       if (litFalse(C.Lits[0])) {
-        // Conflict: restore remaining watches and report.
+        // Conflict: keep the remaining watches and report.
         for (size_t K = WI + 1; K < WatchList.size(); ++K)
-          Kept.push_back(WatchList[K]);
-        WatchList = std::move(Kept);
+          WatchList[Keep++] = WatchList[K];
+        WatchList.resize(Keep);
         return CI;
       }
       enqueue(C.Lits[0], CI);
     }
-    WatchList = std::move(Kept);
+    WatchList.resize(Keep);
   }
   return -1;
 }
@@ -172,6 +234,9 @@ void SatSolver::bumpVar(int Var) {
     for (double &A : Activity)
       A *= 1e-100;
     ActivityInc *= 1e-100;
+    heapRebuild(); // Rescaling can merge or reorder near-equal keys.
+  } else if (HeapPos[Var] >= 0) {
+    heapSiftUp(static_cast<size_t>(HeapPos[Var]));
   }
 }
 
@@ -258,6 +323,7 @@ void SatSolver::backtrack(int TargetLevel) {
     Assign[L.var()] = Unassigned;
     Reason[L.var()] = -1;
     Level[L.var()] = -1;
+    heapInsert(L.var());
   }
   TrailLim.resize(TargetLevel);
   PropHead = Trail.size();
@@ -349,15 +415,27 @@ void SatSolver::analyzeFinal(Lit Failed) {
 
 int SatSolver::pickBranchVar() {
   int Best = -1;
-  double BestActivity = -1.0;
-  for (int Var = 0; Var < numVars(); ++Var) {
-    if (Assign[Var] != Unassigned)
-      continue;
-    if (Activity[Var] > BestActivity) {
-      BestActivity = Activity[Var];
-      Best = Var;
+  while (!Heap.empty()) {
+    int Top = heapPopTop();
+    if (Assign[Top] == Unassigned) {
+      Best = Top;
+      break;
     }
   }
+#ifndef NDEBUG
+  // The heap must pick exactly what a scan for the first most active
+  // unassigned variable picks: decisions, and with them every learned
+  // clause and counter, stay those of the linear order.
+  int ScanBest = -1;
+  double BestActivity = -1.0;
+  for (int Var = 0; Var < numVars(); ++Var) {
+    if (Assign[Var] == Unassigned && Activity[Var] > BestActivity) {
+      BestActivity = Activity[Var];
+      ScanBest = Var;
+    }
+  }
+  assert(Best == ScanBest && "decision heap disagrees with the linear scan");
+#endif
   return Best;
 }
 

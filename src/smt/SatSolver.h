@@ -147,6 +147,23 @@ private:
   void decayActivities();
   int pickBranchVar();
 
+  /// \name Decision heap
+  /// A binary max-heap over variables ordered by (activity descending,
+  /// index ascending): its top is the first most active variable, the
+  /// pick of a linear scan. Every unassigned variable is in it; assigned
+  /// ones are dropped when they surface and re-inserted on backtrack.
+  /// @{
+  bool heapBefore(int A, int B) const {
+    return Activity[A] > Activity[B] || (Activity[A] == Activity[B] && A < B);
+  }
+  void heapInsert(int Var);
+  void heapSiftUp(size_t Pos);
+  void heapSiftDown(size_t Pos);
+  int heapPopTop();
+  /// Restores heap order over the current activities (after a rescale).
+  void heapRebuild();
+  /// @}
+
   std::vector<Clause> Clauses;
   std::vector<std::vector<int>> Watches; ///< Literal -> clause indices.
   std::vector<int8_t> Assign;            ///< Variable -> value.
@@ -156,6 +173,8 @@ private:
   std::vector<int> TrailLim; ///< Trail indices where levels start.
   size_t PropHead = 0;
   std::vector<double> Activity;
+  std::vector<int> Heap;    ///< Decision heap (see heapBefore).
+  std::vector<int> HeapPos; ///< Var -> index in Heap, -1 when absent.
   double ActivityInc = 1.0;
   double ClauseActivityInc = 1.0;
   size_t RedundantClauses = 0;

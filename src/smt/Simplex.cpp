@@ -8,11 +8,61 @@
 
 #include "core/Resource.h"
 
+#include <algorithm>
+
 using namespace pathinv;
+
+void Simplex::reset() {
+  for (int Var = 0; Var < numVars(); ++Var)
+    Rows[Var].clear();
+  Vars.clear();
+  Core.clear();
+  HasConflict = false;
+  UndoTrail.clear();
+  Scopes.clear();
+  NumPivots = 0;
+}
 
 int Simplex::addVar() {
   Vars.push_back(VarState());
+  if (Rows.size() < Vars.size())
+    Rows.emplace_back();
   return static_cast<int>(Vars.size()) - 1;
+}
+
+Simplex::Row::iterator Simplex::findEntry(Row &R, int Var) {
+  auto It = std::lower_bound(
+      R.begin(), R.end(), Var,
+      [](const std::pair<int, Rational> &E, int V) { return E.first < V; });
+  return It != R.end() && It->first == Var ? It : R.end();
+}
+
+void Simplex::addScaledRow(Row &Dst, const Row &Src, const Rational &Factor,
+                           int Skip) {
+  Row &Out = MergeScratch;
+  Out.clear();
+  auto D = Dst.begin(), DEnd = Dst.end();
+  auto S = Src.begin(), SEnd = Src.end();
+  while (D != DEnd || S != SEnd) {
+    if (D != DEnd && D->first == Skip) {
+      ++D;
+      continue;
+    }
+    if (S == SEnd || (D != DEnd && D->first < S->first)) {
+      Out.push_back(std::move(*D));
+      ++D;
+    } else if (D == DEnd || S->first < D->first) {
+      Out.emplace_back(S->first, Factor * S->second);
+      ++S;
+    } else {
+      D->second.addMul(Factor, S->second);
+      if (!D->second.isZero())
+        Out.push_back(std::move(*D));
+      ++D;
+      ++S;
+    }
+  }
+  Dst.swap(Out);
 }
 
 void Simplex::addConstraint(
@@ -21,15 +71,27 @@ void Simplex::addConstraint(
   if (HasConflict)
     return;
 
-  // Accumulate repeated variables.
-  std::map<int, Rational> Sum;
-  for (const auto &[Var, Coeff] : Coeffs) {
-    assert(Var >= 0 && Var < numVars() && "constraint over unknown variable");
-    auto It = Sum.try_emplace(Var).first;
-    It->second += Coeff;
-    if (It->second.isZero())
-      Sum.erase(It);
+  // Accumulate repeated variables: sort a copy by var, then fold runs.
+  Row &Sum = SumScratch;
+  Sum.assign(Coeffs.begin(), Coeffs.end());
+  std::sort(Sum.begin(), Sum.end(),
+            [](const std::pair<int, Rational> &A,
+               const std::pair<int, Rational> &B) { return A.first < B.first; });
+  size_t Kept = 0;
+  for (size_t I = 0; I < Sum.size();) {
+    assert(Sum[I].first >= 0 && Sum[I].first < numVars() &&
+           "constraint over unknown variable");
+    size_t J = I + 1;
+    for (; J < Sum.size() && Sum[J].first == Sum[I].first; ++J)
+      Sum[I].second += Sum[J].second;
+    if (!Sum[I].second.isZero()) {
+      if (Kept != I)
+        Sum[Kept] = std::move(Sum[I]);
+      ++Kept;
+    }
+    I = J;
   }
+  Sum.resize(Kept);
 
   if (Sum.empty()) {
     // Ground constraint: either trivially true or an immediate conflict.
@@ -64,8 +126,8 @@ void Simplex::addConstraint(
   if (Sum.size() == 1) {
     // Single-variable constraint: bound the variable directly, dividing
     // through by the coefficient (flipping the relation when negative).
-    BoundVar = Sum.begin()->first;
-    Scale = Sum.begin()->second;
+    BoundVar = Sum.front().first;
+    Scale = Sum.front().second;
   } else {
     // Introduce a slack variable s = expr, substituting rows for any basic
     // variables so the row mentions only nonbasic ones.
@@ -73,17 +135,20 @@ void Simplex::addConstraint(
     DeltaRational Beta;
     for (const auto &[Var, Coeff] : Sum) {
       if (Vars[Var].Basic) {
-        for (const auto &[Sub, SubCoeff] : Rows[Var]) {
-          auto It = NewRow.try_emplace(Sub).first;
-          It->second.addMul(Coeff, SubCoeff);
+        addScaledRow(NewRow, Rows[Var], Coeff);
+      } else {
+        auto It = std::lower_bound(
+            NewRow.begin(), NewRow.end(), Var,
+            [](const std::pair<int, Rational> &E, int V) {
+              return E.first < V;
+            });
+        if (It == NewRow.end() || It->first != Var) {
+          NewRow.emplace(It, Var, Coeff);
+        } else {
+          It->second += Coeff;
           if (It->second.isZero())
             NewRow.erase(It);
         }
-      } else {
-        auto It = NewRow.try_emplace(Var).first;
-        It->second += Coeff;
-        if (It->second.isZero())
-          NewRow.erase(It);
       }
       Beta.addMul(Vars[Var].Beta, Coeff);
     }
@@ -93,10 +158,14 @@ void Simplex::addConstraint(
     Rows[BoundVar] = std::move(NewRow);
   }
 
-  Rational Bound = Rhs / Scale;
-  bool Flip = Scale.isNegative();
+  assertBound(BoundVar, Rel, Scale, Rhs, Tag);
+}
+
+void Simplex::assertBound(int Var, SimplexRel Rel, const Rational &Scale,
+                          const Rational &Rhs, int Tag) {
+  Rational Bound = Scale.isOne() ? Rhs : Rhs / Scale;
   SimplexRel EffRel = Rel;
-  if (Flip) {
+  if (Scale.isNegative()) {
     switch (Rel) {
     case SimplexRel::Le:
       EffRel = SimplexRel::Ge;
@@ -115,31 +184,32 @@ void Simplex::addConstraint(
     }
   }
 
-  bool Ok = true;
   switch (EffRel) {
   case SimplexRel::Le:
-    Ok = assertUpper(BoundVar, DeltaRational(Bound), Tag);
+    assertUpper(Var, DeltaRational(Bound), Tag);
     break;
   case SimplexRel::Lt:
-    Ok = assertUpper(BoundVar, DeltaRational(Bound, Rational(-1)), Tag);
+    assertUpper(Var, DeltaRational(Bound, Rational(-1)), Tag);
     break;
   case SimplexRel::Ge:
-    Ok = assertLower(BoundVar, DeltaRational(Bound), Tag);
+    assertLower(Var, DeltaRational(Bound), Tag);
     break;
   case SimplexRel::Gt:
-    Ok = assertLower(BoundVar, DeltaRational(Bound, Rational(1)), Tag);
+    assertLower(Var, DeltaRational(Bound, Rational(1)), Tag);
     break;
   case SimplexRel::Eq:
-    Ok = assertUpper(BoundVar, DeltaRational(Bound), Tag) &&
-         assertLower(BoundVar, DeltaRational(Bound), Tag);
+    if (assertUpper(Var, DeltaRational(Bound), Tag))
+      assertLower(Var, DeltaRational(Bound), Tag);
     break;
   }
-  (void)Ok;
 }
 
 void Simplex::addBound(int Var, SimplexRel Rel, const Rational &Rhs,
                        int Tag) {
-  addConstraint({{Var, Rational(1)}}, Rel, Rhs, Tag);
+  if (HasConflict)
+    return;
+  assert(Var >= 0 && Var < numVars() && "bound on unknown variable");
+  assertBound(Var, Rel, Rational(1), Rhs, Tag);
 }
 
 void Simplex::recordBoundUndo(int Var, bool IsLower) {
@@ -170,7 +240,7 @@ void Simplex::pop() {
   // drop the rows they still own.
   for (int Var = M.VarMark; Var < numVars(); ++Var) {
     if (Vars[Var].Basic) {
-      Rows.erase(Var);
+      Rows[Var].clear();
       Vars[Var].Basic = false;
     }
   }
@@ -214,8 +284,11 @@ bool Simplex::assertUpper(int Var, const DeltaRational &Value, int Tag) {
 
 void Simplex::updateNonbasic(int Var, const DeltaRational &Value) {
   DeltaRational Diff = Value - Vars[Var].Beta;
-  for (auto &[BasicVar, TheRow] : Rows) {
-    auto It = TheRow.find(Var);
+  for (int BasicVar = 0; BasicVar < numVars(); ++BasicVar) {
+    if (!Vars[BasicVar].Basic)
+      continue;
+    Row &TheRow = Rows[BasicVar];
+    auto It = findEntry(TheRow, Var);
     if (It != TheRow.end())
       Vars[BasicVar].Beta.addMul(Diff, It->second);
   }
@@ -225,34 +298,37 @@ void Simplex::updateNonbasic(int Var, const DeltaRational &Value) {
 void Simplex::pivot(int Basic, int Nonbasic) {
   ++NumPivots;
   Row OldRow = std::move(Rows[Basic]);
-  Rows.erase(Basic);
-  Rational PivotCoeff = OldRow[Nonbasic];
+  Rows[Basic].clear();
+  Rational PivotCoeff = findEntry(OldRow, Nonbasic)->second;
   assert(!PivotCoeff.isZero() && "pivot on zero coefficient");
 
   // Express Nonbasic in terms of Basic and the remaining row variables:
   //   Basic = sum(a_k x_k)  ==>  Nonbasic = (Basic - sum_{k!=j} a_k x_k)/a_j
   Row NewRow;
-  NewRow[Basic] = PivotCoeff.inverse();
+  NewRow.reserve(OldRow.size());
+  bool BasicPlaced = false;
   for (const auto &[Var, Coeff] : OldRow) {
+    if (!BasicPlaced && Basic < Var) {
+      NewRow.emplace_back(Basic, PivotCoeff.inverse());
+      BasicPlaced = true;
+    }
     if (Var == Nonbasic)
       continue;
-    NewRow[Var] = -(Coeff / PivotCoeff);
+    NewRow.emplace_back(Var, -(Coeff / PivotCoeff));
   }
+  if (!BasicPlaced)
+    NewRow.emplace_back(Basic, PivotCoeff.inverse());
 
   // Substitute into every other row that mentions Nonbasic.
-  for (auto &[OtherBasic, OtherRow] : Rows) {
-    auto It = OtherRow.find(Nonbasic);
+  for (int OtherBasic = 0; OtherBasic < numVars(); ++OtherBasic) {
+    if (!Vars[OtherBasic].Basic || OtherBasic == Basic)
+      continue;
+    Row &OtherRow = Rows[OtherBasic];
+    auto It = findEntry(OtherRow, Nonbasic);
     if (It == OtherRow.end())
       continue;
     Rational Factor = std::move(It->second);
-    OtherRow.erase(It);
-    for (const auto &[Var, Coeff] : NewRow) {
-      // Accumulate in place: no product temporary, one map lookup.
-      auto Slot = OtherRow.try_emplace(Var).first;
-      Slot->second.addMul(Factor, Coeff);
-      if (Slot->second.isZero())
-        OtherRow.erase(Slot);
-    }
+    addScaledRow(OtherRow, NewRow, Factor, /*Skip=*/Nonbasic);
   }
 
   Rows[Nonbasic] = std::move(NewRow);
@@ -262,14 +338,15 @@ void Simplex::pivot(int Basic, int Nonbasic) {
 
 void Simplex::pivotAndUpdate(int Basic, int Nonbasic,
                              const DeltaRational &Target) {
-  const Rational &Coeff = Rows[Basic][Nonbasic];
+  const Rational &Coeff = findEntry(Rows[Basic], Nonbasic)->second;
   DeltaRational Theta = (Target - Vars[Basic].Beta) * Coeff.inverse();
   Vars[Basic].Beta = Target;
   Vars[Nonbasic].Beta += Theta;
-  for (auto &[OtherBasic, TheRow] : Rows) {
-    if (OtherBasic == Basic)
+  for (int OtherBasic = 0; OtherBasic < numVars(); ++OtherBasic) {
+    if (!Vars[OtherBasic].Basic || OtherBasic == Basic)
       continue;
-    auto It = TheRow.find(Nonbasic);
+    Row &TheRow = Rows[OtherBasic];
+    auto It = findEntry(TheRow, Nonbasic);
     if (It != TheRow.end())
       Vars[OtherBasic].Beta.addMul(Theta, It->second);
   }
@@ -284,8 +361,10 @@ Simplex::Result Simplex::check() {
     // Bland's rule: smallest-index basic variable violating a bound.
     int Violating = -1;
     bool BelowLower = false;
-    for (const auto &[BasicVar, TheRow] : Rows) {
+    for (int BasicVar = 0; BasicVar < numVars(); ++BasicVar) {
       const VarState &VS = Vars[BasicVar];
+      if (!VS.Basic)
+        continue;
       if (VS.Lower.Present && VS.Beta < VS.Lower.Value) {
         Violating = BasicVar;
         BelowLower = true;
@@ -310,7 +389,7 @@ Simplex::Result Simplex::check() {
                           ? (Coeff.isPositive() ? CanIncrease : CanDecrease)
                           : (Coeff.isPositive() ? CanDecrease : CanIncrease);
       if (Suitable) {
-        Entering = Var; // Smallest index first (map is ordered): Bland.
+        Entering = Var; // Smallest index first (row is sorted): Bland.
         break;
       }
     }

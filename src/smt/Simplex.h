@@ -28,8 +28,8 @@
 
 #include "support/DeltaRational.h"
 
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace pathinv {
@@ -49,6 +49,12 @@ public:
   enum class Result : uint8_t { Sat, Unsat, Interrupted };
 
   Simplex() = default;
+
+  /// Returns the tableau to the state of a freshly constructed one
+  /// (no variables, constraints, scopes or conflict; numPivots() zero)
+  /// while keeping the storage it has grown, so a client that solves
+  /// many small independent LPs pays for its buffers once.
+  void reset();
 
   /// Creates a fresh unconstrained variable and returns its index.
   int addVar();
@@ -125,8 +131,21 @@ private:
     bool Basic = false;
   };
 
-  using Row = std::map<int, Rational>; ///< Nonbasic var -> coefficient.
+  /// A basic variable's row: (nonbasic var, nonzero coefficient) pairs
+  /// sorted by var, so scans meet variables in ascending index order
+  /// (Bland's rule and the conflict core depend on that order).
+  using Row = std::vector<std::pair<int, Rational>>;
 
+  /// \returns the entry of \p Var in \p R, or R.end().
+  static Row::iterator findEntry(Row &R, int Var);
+  /// Dst += Factor * Src, keeping Dst sorted and free of zero entries.
+  /// Dst's entry for \p Skip (if any) is dropped.
+  void addScaledRow(Row &Dst, const Row &Src, const Rational &Factor,
+                    int Skip = -1);
+
+  /// Asserts `Scale * Var REL Rhs` as a bound on \p Var (Scale != 0).
+  void assertBound(int Var, SimplexRel Rel, const Rational &Scale,
+                   const Rational &Rhs, int Tag);
   bool assertLower(int Var, const DeltaRational &Value, int Tag);
   bool assertUpper(int Var, const DeltaRational &Value, int Tag);
   /// Records the current state of a bound about to be overwritten (no-op
@@ -154,7 +173,12 @@ private:
   };
 
   std::vector<VarState> Vars;
-  std::map<int, Row> Rows; ///< Basic var -> row over nonbasic vars.
+  /// Var -> its row over nonbasic vars; meaningful only while the var is
+  /// basic (a basic var's row may be empty). Sized at least numVars();
+  /// slots past numVars() are empty rows kept for their capacity.
+  std::vector<Row> Rows;
+  Row MergeScratch; ///< addScaledRow's output buffer.
+  Row SumScratch;   ///< addConstraint's coefficient accumulator.
   std::vector<int> Core;
   bool HasConflict = false;
   std::vector<BoundUndo> UndoTrail;

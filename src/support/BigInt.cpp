@@ -182,34 +182,26 @@ std::vector<uint32_t> divModMag(const uint32_t *A, size_t NA,
 // Representation management
 //===----------------------------------------------------------------------===//
 
-BigInt::BigInt(const BigInt &RHS) {
-  if (RHS.IsInline) {
-    InlineValue = RHS.InlineValue;
-    IsInline = true;
-  } else {
-    new (&Heap) HeapRep(RHS.Heap);
-    IsInline = false;
-    bigIntHeapAccount(heapBytes());
-  }
+void BigInt::constructHeapCopy(const BigInt &RHS) {
+  assert(!RHS.IsInline && "heap copy of an inline value");
+  new (&Heap) HeapRep(RHS.Heap);
+  IsInline = false;
+  bigIntHeapAccount(heapBytes());
 }
 
-BigInt::BigInt(BigInt &&RHS) noexcept {
-  if (RHS.IsInline) {
-    InlineValue = RHS.InlineValue;
-    IsInline = true;
-  } else {
-    bigIntHeapAccount(-RHS.heapBytes());
-    new (&Heap) HeapRep(std::move(RHS.Heap));
-    IsInline = false;
-    bigIntHeapAccount(heapBytes());
-    // Leave the source in the canonical zero state so it stays usable.
-    RHS.Heap.~HeapRep();
-    RHS.IsInline = true;
-    RHS.InlineValue = 0;
-  }
+void BigInt::constructHeapMove(BigInt &RHS) noexcept {
+  assert(!RHS.IsInline && "heap move of an inline value");
+  bigIntHeapAccount(-RHS.heapBytes());
+  new (&Heap) HeapRep(std::move(RHS.Heap));
+  IsInline = false;
+  bigIntHeapAccount(heapBytes());
+  // Leave the source in the canonical zero state so it stays usable.
+  RHS.Heap.~HeapRep();
+  RHS.IsInline = true;
+  RHS.InlineValue = 0;
 }
 
-BigInt &BigInt::operator=(const BigInt &RHS) {
+BigInt &BigInt::assignSlow(const BigInt &RHS) {
   if (this == &RHS)
     return *this;
   if (!IsInline && !RHS.IsInline) {
@@ -227,7 +219,7 @@ BigInt &BigInt::operator=(const BigInt &RHS) {
   return *this;
 }
 
-BigInt &BigInt::operator=(BigInt &&RHS) noexcept {
+BigInt &BigInt::moveAssignSlow(BigInt &&RHS) noexcept {
   if (this == &RHS)
     return *this;
   if (RHS.IsInline) {

@@ -43,6 +43,7 @@
 #include <new>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace pathinv {
@@ -86,10 +87,39 @@ public:
   /// Asserts on malformed input; use \c fromString for checked parsing.
   explicit BigInt(std::string_view Decimal);
 
-  BigInt(const BigInt &RHS);
-  BigInt(BigInt &&RHS) noexcept;
-  BigInt &operator=(const BigInt &RHS);
-  BigInt &operator=(BigInt &&RHS) noexcept;
+  // Copy, move and assignment: inline values are the common case in the
+  // simplex and synthesis loops, so they stay in the header; the heap
+  // representation goes through the out-of-line helpers.
+  BigInt(const BigInt &RHS) {
+    if (RHS.IsInline) {
+      InlineValue = RHS.InlineValue;
+      IsInline = true;
+    } else {
+      constructHeapCopy(RHS);
+    }
+  }
+  BigInt(BigInt &&RHS) noexcept {
+    if (RHS.IsInline) {
+      InlineValue = RHS.InlineValue;
+      IsInline = true;
+    } else {
+      constructHeapMove(RHS);
+    }
+  }
+  BigInt &operator=(const BigInt &RHS) {
+    if (IsInline && RHS.IsInline) {
+      InlineValue = RHS.InlineValue;
+      return *this;
+    }
+    return assignSlow(RHS);
+  }
+  BigInt &operator=(BigInt &&RHS) noexcept {
+    if (IsInline && RHS.IsInline) {
+      InlineValue = RHS.InlineValue;
+      return *this;
+    }
+    return moveAssignSlow(std::move(RHS));
+  }
   ~BigInt() {
     if (!IsInline) {
       bigIntHeapAccount(-heapBytes());
@@ -224,6 +254,12 @@ private:
   int64_t heapBytes() const {
     return static_cast<int64_t>(Heap.Limbs.capacity() * sizeof(uint32_t));
   }
+
+  /// Out-of-line halves of copy/move/assignment for heap operands.
+  void constructHeapCopy(const BigInt &RHS);
+  void constructHeapMove(BigInt &RHS) noexcept;
+  BigInt &assignSlow(const BigInt &RHS);
+  BigInt &moveAssignSlow(BigInt &&RHS) noexcept;
 
   static BigInt addSlow(const BigInt &A, const BigInt &B);
   BigInt mulSlow(const BigInt &RHS) const;

@@ -78,8 +78,8 @@
 
 #include "synth/Poly.h"
 
+#include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <unordered_map>
 
@@ -254,9 +254,8 @@ private:
 /// and every dfs candidate pays one — so the integer fast paths matter.
 inline void appendInt(int64_t Value, std::string &Out) {
   char Buf[24];
-  int Len = std::snprintf(Buf, sizeof(Buf), "%lld",
-                          static_cast<long long>(Value));
-  Out.append(Buf, static_cast<size_t>(Len));
+  char *End = std::to_chars(Buf, Buf + sizeof(Buf), Value).ptr;
+  Out.append(Buf, End);
 }
 
 /// Appends \p C to \p Out in Rational::toString's format ("N" or "N/D")
@@ -370,7 +369,7 @@ inline void rawKeyConstraint(const PolyConstraint &PC,
 /// stack array (a combo past its capacity degrades to raw ids, which is
 /// a finer — still sound — equivalence), and every structural element
 /// streams into the hash as a tagged 64-bit word.
-inline ComboFp hashCombo(const std::vector<PolyConstraint> &Cs,
+inline ComboFp hashCombo(const std::vector<const PolyConstraint *> &Cs,
                          const UnknownPool &Pool) {
   ComboHasher H;
   constexpr int MaxPrivate = 64;
@@ -392,9 +391,9 @@ inline ComboFp hashCombo(const std::vector<PolyConstraint> &Cs,
     H.word((0x6bULL << 56) | static_cast<uint64_t>(Pool.kind(Id)));
     return static_cast<uint64_t>(Pool.size() + NumPrivate++);
   };
-  for (const PolyConstraint &PC : Cs) {
-    H.word((0x45ULL << 56) | (PC.IsEq ? 1 : 0));
-    for (const auto &[M, C] : PC.P.terms()) {
+  for (const PolyConstraint *PC : Cs) {
+    H.word((0x45ULL << 56) | (PC->IsEq ? 1 : 0));
+    for (const auto &[M, C] : PC->P.terms()) {
       H.word(canon(M.A));
       H.word(canon(M.B));
       if (C.numerator().fitsInt64() && C.denominator().fitsInt64()) {

@@ -30,6 +30,54 @@ Monomial mulMonomial(const Monomial &M1, const Monomial &M2) {
 
 } // namespace
 
+void Poly::normalize() {
+  std::sort(Terms.begin(), Terms.end(), [](const Term &X, const Term &Y) {
+    return X.first < Y.first;
+  });
+  size_t Kept = 0;
+  for (size_t I = 0; I < Terms.size();) {
+    size_t J = I + 1;
+    for (; J < Terms.size() && Terms[J].first == Terms[I].first; ++J)
+      Terms[I].second += Terms[J].second;
+    if (!Terms[I].second.isZero()) {
+      if (Kept != I)
+        Terms[Kept] = std::move(Terms[I]);
+      ++Kept;
+    }
+    I = J;
+  }
+  Terms.resize(Kept);
+}
+
+void Poly::addMul(const Poly &RHS, const Rational &Factor) {
+  if (Factor.isZero() || RHS.Terms.empty())
+    return;
+  if (&RHS == this) {
+    scale(Factor + Rational(1));
+    return;
+  }
+  std::vector<Term> Merged;
+  Merged.reserve(Terms.size() + RHS.Terms.size());
+  auto D = Terms.begin(), DEnd = Terms.end();
+  auto S = RHS.Terms.begin(), SEnd = RHS.Terms.end();
+  while (D != DEnd || S != SEnd) {
+    if (S == SEnd || (D != DEnd && D->first < S->first)) {
+      Merged.push_back(std::move(*D));
+      ++D;
+    } else if (D == DEnd || S->first < D->first) {
+      Merged.emplace_back(S->first, S->second * Factor);
+      ++S;
+    } else {
+      D->second.addMul(S->second, Factor);
+      if (!D->second.isZero())
+        Merged.push_back(std::move(*D));
+      ++D;
+      ++S;
+    }
+  }
+  Terms.swap(Merged);
+}
+
 Poly Poly::operator*(const Poly &RHS) const {
   Poly Result;
   Result.addMul(*this, RHS);
@@ -37,43 +85,49 @@ Poly Poly::operator*(const Poly &RHS) const {
 }
 
 void Poly::addMul(const Poly &A, const Poly &B) {
-  if (&A == this || &B == this) {
-    // Aliased accumulation would read terms while mutating them.
-    Poly Product = A * B;
-    add(Product);
-    return;
-  }
-  for (const auto &[M1, C1] : A.Terms) {
-    for (const auto &[M2, C2] : B.Terms) {
-      Monomial M = mulMonomial(M1, M2);
-      auto It = Terms.try_emplace(M).first;
-      It->second.addMul(C1, C2);
-      if (It->second.isZero())
-        Terms.erase(It);
-    }
-  }
+  Poly Product;
+  Product.Terms.reserve(A.Terms.size() * B.Terms.size());
+  for (const auto &[M1, C1] : A.Terms)
+    for (const auto &[M2, C2] : B.Terms)
+      Product.Terms.emplace_back(mulMonomial(M1, M2), C1 * C2);
+  Product.normalize();
+  add(Product);
 }
 
-Poly Poly::substituteOne(int Id, const Rational &Value) const {
+void Poly::substituteOne(int Id, const Rational &Value, Poly &Out) const {
   // -1 is the empty-slot sentinel inside Monomial; matching it below
   // would spin forever without making progress.
   assert(Id >= 0 && "substituteOne over the empty-slot sentinel");
-  Poly Result;
+  assert(&Out != this && "substituteOne into its own source");
+  Out.Terms.resize(Terms.size());
+  size_t N = 0;
+  bool Moved = false; // Some monomial changed, so order may have too.
   for (const auto &[M, C] : Terms) {
-    Monomial NewM = M;
-    Rational Coeff = C;
+    Term &T = Out.Terms[N];
+    T.first = M;
+    T.second = C;
     // A quadratic monomial may mention Id twice (Id*Id).
-    while (NewM.B == Id || NewM.A == Id) {
-      if (NewM.B == Id) {
-        NewM.B = NewM.A;
-        NewM.A = -1;
+    while (T.first.B == Id || T.first.A == Id) {
+      if (T.first.B == Id) {
+        T.first.B = T.first.A;
+        T.first.A = -1;
       } else {
-        NewM.A = -1;
+        T.first.A = -1;
       }
-      Coeff *= Value;
+      T.second *= Value;
+      Moved = true;
     }
-    Result.addTerm(NewM, Coeff);
+    if (!T.second.isZero())
+      ++N;
   }
+  Out.Terms.resize(N);
+  if (Moved)
+    Out.normalize();
+}
+
+Poly Poly::substituteOne(int Id, const Rational &Value) const {
+  Poly Result;
+  substituteOne(Id, Value, Result);
   return Result;
 }
 
@@ -103,8 +157,9 @@ Poly Poly::substitute(const std::map<int, Rational> &Values) const {
       NewM = Monomial::linear(RemainA);
     else
       NewM = Monomial::quadratic(RemainA, RemainB);
-    Result.addTerm(NewM, Coeff);
+    Result.Terms.emplace_back(NewM, std::move(Coeff));
   }
+  Result.normalize();
   return Result;
 }
 

@@ -27,6 +27,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace pathinv {
@@ -77,82 +78,55 @@ struct Monomial {
 };
 
 /// Polynomial of degree <= 2 over unknowns, with rational coefficients.
+/// Stored as a flat vector of (monomial, nonzero coefficient) terms
+/// sorted by monomial: the constant term first, then linear terms by
+/// unknown, then products. Iteration visits the terms in that order.
 class Poly {
 public:
+  using Term = std::pair<Monomial, Rational>;
+
   Poly() = default;
   /// Constant polynomial.
   explicit Poly(Rational Constant) {
     if (!Constant.isZero())
-      Terms[Monomial::constant()] = std::move(Constant);
+      Terms.emplace_back(Monomial::constant(), std::move(Constant));
   }
   /// The single unknown \p Id.
   static Poly unknown(int Id) {
     Poly P;
-    P.Terms[Monomial::linear(Id)] = Rational(1);
+    P.Terms.emplace_back(Monomial::linear(Id), Rational(1));
     return P;
   }
 
   bool isZero() const { return Terms.empty(); }
   bool isConstant() const {
     return Terms.empty() ||
-           (Terms.size() == 1 && Terms.begin()->first.degree() == 0);
+           (Terms.size() == 1 && Terms.front().first.degree() == 0);
   }
   Rational constantValue() const {
-    auto It = Terms.find(Monomial::constant());
-    return It == Terms.end() ? Rational() : It->second;
+    return !Terms.empty() && Terms.front().first.degree() == 0
+               ? Terms.front().second
+               : Rational();
   }
   bool isLinear() const {
-    for (const auto &[M, C] : Terms)
-      if (M.degree() > 1)
-        return false;
-    return true;
+    return Terms.empty() || Terms.back().first.degree() <= 1;
   }
 
-  const std::map<Monomial, Rational> &terms() const { return Terms; }
+  const std::vector<Term> &terms() const { return Terms; }
 
-  void add(const Poly &RHS) {
-    for (const auto &[M, C] : RHS.Terms)
-      addTerm(M, C);
-  }
-  void sub(const Poly &RHS) {
-    for (const auto &[M, C] : RHS.Terms)
-      addTerm(M, -C);
-  }
+  void add(const Poly &RHS) { addMul(RHS, Rational(1)); }
+  void sub(const Poly &RHS) { addMul(RHS, Rational(-1)); }
   void scale(const Rational &Factor) {
     if (Factor.isZero()) {
       Terms.clear();
       return;
     }
-    for (auto &[M, C] : Terms)
-      C *= Factor;
+    for (Term &T : Terms)
+      T.second *= Factor;
   }
-  void addTerm(const Monomial &M, const Rational &C) {
-    if (C.isZero())
-      return;
-    auto [It, Inserted] = Terms.try_emplace(M, C);
-    if (!Inserted) {
-      It->second += C;
-      if (It->second.isZero())
-        Terms.erase(It);
-    }
-  }
-  /// Accumulates `*this += RHS * Factor` without a temporary polynomial.
-  /// Alias-safe: `P.addMul(P, f)` takes a copy first (erasing a cancelled
-  /// term would otherwise invalidate the live iteration).
-  void addMul(const Poly &RHS, const Rational &Factor) {
-    if (Factor.isZero())
-      return;
-    if (&RHS == this) {
-      addMul(Poly(*this), Factor);
-      return;
-    }
-    for (const auto &[M, C] : RHS.Terms) {
-      auto It = Terms.try_emplace(M).first;
-      It->second.addMul(C, Factor);
-      if (It->second.isZero())
-        Terms.erase(It);
-    }
-  }
+  /// Accumulates `*this += RHS * Factor` without a temporary polynomial
+  /// (alias-safe).
+  void addMul(const Poly &RHS, const Rational &Factor);
   /// Accumulates `*this += A * B` (degree-checked) without materializing
   /// the product polynomial. Fuses the Farkas column-equation pattern
   /// `Sum.add(Lambda * Coeff)` into in-place updates.
@@ -182,8 +156,10 @@ public:
   Poly substitute(const std::map<int, Rational> &Values) const;
 
   /// Substitutes a single unknown (the multiplier-enumeration hot path:
-  /// no map to build or probe).
+  /// no map to build or probe). The overload writing into \p Out reuses
+  /// Out's storage; \p Out must not be *this.
   Poly substituteOne(int Id, const Rational &Value) const;
+  void substituteOne(int Id, const Rational &Value, Poly &Out) const;
 
   /// Unknown ids occurring in quadratic monomials.
   std::vector<int> quadraticUnknowns() const;
@@ -194,7 +170,10 @@ public:
   std::string toString(const UnknownPool &Pool) const;
 
 private:
-  std::map<Monomial, Rational> Terms;
+  /// Sorts Terms by monomial, sums equal monomials and drops zeros.
+  void normalize();
+
+  std::vector<Term> Terms;
 };
 
 /// A constraint `P = 0` (IsEq) or `P >= 0` over the unknowns.

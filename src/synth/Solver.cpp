@@ -11,7 +11,6 @@
 #include "synth/Farkas.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <set>
 #include <unordered_set>
@@ -35,29 +34,43 @@ struct PreparedCondition {
 };
 
 /// An incremental LP context: a simplex tableau plus the pool-id to
-/// LP-variable mapping, with scopes. The search runs one shared tableau
+/// LP-column mapping, with scopes. The search runs one shared tableau
 /// and brackets each branch in push()/pop() — a child node only pays for
 /// its own constraints and the pop undoes them — instead of copying the
-/// whole tableau at every depth as the previous design did.
+/// whole tableau at every depth as the previous design did. The leaf
+/// filter of the multiplier enumeration reuses a second one through
+/// reset(), which keeps every buffer the previous leaf grew.
 struct LpState {
   Simplex LP;
-  std::map<int, int> VarOf;
-  /// Pool ids first seen in each open scope; pop() forgets them so their
-  /// (now unconstrained, dead) LP columns are not reused.
-  std::vector<std::vector<int>> ScopeIds;
+  std::vector<int> VarOf;  ///< Pool id -> LP column, -1 when unmapped.
+  std::vector<int> Mapped; ///< Pool ids with a column, in mapping order.
+  /// Mapped.size() at each open push(); pop() forgets the ids mapped
+  /// since, so their (now unconstrained, dead) LP columns are not reused.
+  std::vector<size_t> ScopeMarks;
 
   void push() {
     LP.push();
-    ScopeIds.emplace_back();
+    ScopeMarks.push_back(Mapped.size());
   }
   void pop() {
-    for (int Id : ScopeIds.back())
-      VarOf.erase(Id);
-    ScopeIds.pop_back();
+    forgetFrom(ScopeMarks.back());
+    ScopeMarks.pop_back();
     LP.pop();
   }
-};
+  /// Back to the empty system, keeping capacity.
+  void reset() {
+    forgetFrom(0);
+    ScopeMarks.clear();
+    LP.reset();
+  }
 
+private:
+  void forgetFrom(size_t Mark) {
+    for (size_t I = Mark; I < Mapped.size(); ++I)
+      VarOf[static_cast<size_t>(Mapped[I])] = -1;
+    Mapped.resize(Mark);
+  }
+};
 
 class Search {
 public:
@@ -111,40 +124,44 @@ public:
 
 private:
   int lpVarOf(LpState &S, int Id) {
-    auto [It, Inserted] = S.VarOf.try_emplace(Id, -1);
-    if (Inserted) {
-      It->second = S.LP.addVar();
-      if (!S.ScopeIds.empty())
-        S.ScopeIds.back().push_back(Id);
+    size_t Slot = static_cast<size_t>(Id);
+    if (Slot >= S.VarOf.size())
+      S.VarOf.resize(static_cast<size_t>(Pool.size()), -1);
+    int &Var = S.VarOf[Slot];
+    if (Var < 0) {
+      Var = S.LP.addVar();
+      S.Mapped.push_back(Id);
       if (Pool.kind(Id) == UnknownKind::Multiplier)
-        S.LP.addBound(It->second, SimplexRel::Ge, Rational(0), -1);
+        S.LP.addBound(Var, SimplexRel::Ge, Rational(0), -1);
     }
-    return It->second;
+    return Var;
   }
 
-  /// Translates \p Cs into LP constraints of \p S tagged with \p Tag.
+  /// Translates \p PC into an LP constraint of \p S tagged with \p Tag.
+  void lpAddConstraint(LpState &S, const PolyConstraint &PC, int Tag) {
+    std::vector<std::pair<int, Rational>> &Coeffs = CoeffScratch;
+    Coeffs.clear();
+    Rational Rhs;
+    for (const auto &[M, C] : PC.P.terms()) {
+      assert(M.degree() <= 1 && "quadratic monomial reached the LP");
+      if (M.degree() == 0)
+        Rhs -= C;
+      else
+        Coeffs.emplace_back(lpVarOf(S, M.B), C);
+    }
+    S.LP.addConstraint(Coeffs, PC.IsEq ? SimplexRel::Eq : SimplexRel::Ge,
+                       Rhs, Tag);
+  }
+
   void lpAddConstraints(LpState &S, const std::vector<PolyConstraint> &Cs,
                         int Tag) {
-    for (const PolyConstraint &PC : Cs) {
-      std::vector<std::pair<int, Rational>> Coeffs;
-      Rational Rhs;
-      for (const auto &[M, C] : PC.P.terms()) {
-        assert(M.degree() <= 1 && "quadratic monomial reached the LP");
-        if (M.degree() == 0)
-          Rhs -= C;
-        else
-          Coeffs.emplace_back(lpVarOf(S, M.B), C);
-      }
-      S.LP.addConstraint(Coeffs, PC.IsEq ? SimplexRel::Eq : SimplexRel::Ge,
-                         Rhs, Tag);
-    }
+    for (const PolyConstraint &PC : Cs)
+      lpAddConstraint(S, PC, Tag);
   }
 
-  /// Adds \p Cs to \p S tagged with \p Tag and re-checks incrementally.
-  /// On infeasibility, \p ConflictTag (when provided) receives the largest
-  /// tag in the unsat core — the deepest search choice implicated.
-  bool lpAddCheck(LpState &S, const std::vector<PolyConstraint> &Cs, int Tag,
-                  int *ConflictTag) {
+  /// Charges one LP check to the search budget and the job's controller.
+  /// \returns false, with the budget zeroed, when either is spent.
+  bool chargeLpCheck() {
     if (Budget == 0)
       return false;
     if (!resourceCharge(ResourceKind::SynthCombos)) {
@@ -153,7 +170,13 @@ private:
     }
     --Budget;
     ++LpChecks;
-    lpAddConstraints(S, Cs, Tag);
+    return true;
+  }
+
+  /// Re-checks \p S incrementally after constraints were added. On
+  /// infeasibility, \p ConflictTag (when provided) receives the largest
+  /// tag in the unsat core — the deepest search choice implicated.
+  bool lpFeasible(LpState &S, int *ConflictTag) {
     Simplex::Result R = S.LP.check();
     if (R == Simplex::Result::Interrupted) {
       Budget = 0; // No verdict and no core; end the search.
@@ -174,7 +197,7 @@ private:
   /// consulting the learner's verdict cache first. A cache hit skips the
   /// scratch LP entirely: within the run that is dedup, across runs it is
   /// a reused lemma (the knowledge survived a Farkas scope teardown).
-  bool comboLocallyFeasible(const std::vector<PolyConstraint> &Cs,
+  bool comboLocallyFeasible(const std::vector<const PolyConstraint *> &Cs,
                             const ComboFp *Fp) {
     if (Learner && Fp) {
       auto It = Learner->Combos.find(*Fp);
@@ -189,8 +212,13 @@ private:
         return It->second.Feasible;
       }
     }
-    LpState Local;
-    bool Feasible = lpAddCheck(Local, Cs, 0, nullptr);
+    bool Feasible = false;
+    if (chargeLpCheck()) {
+      Leaf.reset();
+      for (const PolyConstraint *PC : Cs)
+        lpAddConstraint(Leaf, *PC, 0);
+      Feasible = lpFeasible(Leaf, nullptr);
+    }
     // A budget trip mid-check yields a spurious "infeasible" — never
     // cache it (the unwind path ends the run before the verdict is used).
     if (Learner && Fp && Budget != 0 && !Learner->cacheFull())
@@ -205,86 +233,157 @@ private:
   /// carries the condition-scoped dedup keys already admitted across the
   /// condition's alternatives, so interchangeable choices collapse into
   /// one combo.
+  ///
+  /// Depth-first over multiplier values, substituting each assignment
+  /// into the constraint set immediately. A constraint that becomes a
+  /// violated constant prunes the whole subtree, so the expensive exact
+  /// LP filter only ever runs on leaves that survived every ground
+  /// check — a tiny fraction of the 3^k assignment tree. Each depth holds
+  /// pointers: a constraint that does not mention the multiplier being
+  /// fixed is shared with the parent, and only the ones that do are
+  /// substituted into that depth's own storage. A constraint already
+  /// constant in the encoding is checked (dropped or pruning) at the
+  /// first level only; the leaf of a multiplier-free alternative keeps
+  /// it. A Combo is materialized only for an admitted leaf.
   void enumerateCombos(const std::vector<PolyConstraint> &Encoded,
                        PreparedCondition &Out,
                        std::unordered_set<ComboFp, ComboFpHash> &CondSeen) {
-    // Multipliers occurring in quadratic monomials.
-    std::set<int> QuadSet;
+    // Multipliers occurring in quadratic monomials, ascending.
+    std::vector<int> &Quad = Enum.Quad;
+    Quad.clear();
     for (const PolyConstraint &PC : Encoded)
       for (int Id : PC.P.quadraticUnknowns())
         if (Pool.kind(Id) != UnknownKind::Param)
-          QuadSet.insert(Id);
-    std::vector<int> Quad(QuadSet.begin(), QuadSet.end());
+          Quad.push_back(Id);
+    std::sort(Quad.begin(), Quad.end());
+    Quad.erase(std::unique(Quad.begin(), Quad.end()), Quad.end());
 
-    // Depth-first over multiplier values, substituting each assignment
-    // into the constraint set immediately. A constraint that becomes a
-    // violated constant prunes the whole subtree, so the expensive exact
-    // LP filter only ever runs on leaves that survived every ground
-    // check — a tiny fraction of the 3^k assignment tree.
-    std::map<int, Rational> Assignment;
+    // Mentions[L * N + I]: encoded constraint I mentions Quad[L].
+    // Substitution only removes unknowns, so this over-approximates the
+    // derived constraints; substituting an unknown that a derived
+    // constraint lost to cancellation returns it unchanged.
+    size_t N = Encoded.size();
+    Enum.N = N;
+    Enum.Mentions.assign(Quad.size() * N, 0);
+    for (size_t I = 0; I < N; ++I)
+      for (const auto &[M, C] : Encoded[I].P.terms())
+        for (int Id : {M.A, M.B})
+          if (Id >= 0) {
+            auto It = std::lower_bound(Quad.begin(), Quad.end(), Id);
+            if (It != Quad.end() && *It == Id)
+              Enum.Mentions[static_cast<size_t>(It - Quad.begin()) * N + I] =
+                  1;
+          }
+
+    if (Enum.Live.size() < Quad.size() + 1) {
+      Enum.Live.resize(Quad.size() + 1);
+      Enum.Owned.resize(Quad.size() + 1);
+      Enum.Values.resize(Quad.size());
+    }
+    Enum.Live[0].clear();
+    for (size_t I = 0; I < N; ++I)
+      Enum.Live[0].push_back({I, &Encoded[I]});
+    Enum.Out = &Out;
+    Enum.CondSeen = &CondSeen;
     // The cap is per alternative, not per condition: a combinatorial
     // alternative must not starve the simpler alternatives enumerated
     // after it (their combos are often the only ones that discharge the
     // condition).
-    size_t Cap = Out.Combos.size() + MaxCombosPerAlternative;
-    std::function<void(size_t, const std::vector<PolyConstraint> &)>
-        Recurse = [&](size_t Idx, const std::vector<PolyConstraint> &Cs) {
-          if (Out.Combos.size() >= Cap || Budget == 0)
-            return;
-          if (Idx == Quad.size()) {
-            ++LeafDecisions;
-            Combo C;
-            C.MultValues = Assignment;
-            C.Constraints = Cs;
-            ComboFp Fp;
-            if (Learner) {
-              // One allocation-free hash serves both caches: the
-              // raw-param canonical identity decides which combos are
-              // interchangeable *choices* within the condition, and
-              // (being a refinement of the renaming-invariant combo
-              // identity) is also a sound key for the
-              // isolated-feasibility verdict cache.
-              Fp = hashCombo(C.Constraints, Pool);
-              if (!CondSeen.insert(Fp).second) {
-                // A sibling alternative (or multiplier assignment) already
-                // contributes this exact linearization to the condition.
-                ++RunStats.CombosDeduped;
-                ++Learner->Stats.CombosDeduped;
-                return;
-              }
-            }
-            // Local LP filter (cache-backed when learning).
-            if (comboLocallyFeasible(C.Constraints,
-                                     Learner ? &Fp : nullptr))
-              Out.Combos.push_back(std::move(C));
-            return;
-          }
-          int Id = Quad[Idx];
-          bool NonNeg = Pool.kind(Id) == UnknownKind::Multiplier;
-          auto tryValue = [&](Rational V) {
-            std::vector<PolyConstraint> Next;
-            Next.reserve(Cs.size());
-            for (const PolyConstraint &PC : Cs) {
-              PolyConstraint Lin{PC.P.substituteOne(Id, V), PC.IsEq};
-              if (Lin.P.isConstant()) {
-                Rational C0 = Lin.P.constantValue();
-                if (Lin.IsEq ? !C0.isZero() : C0.isNegative())
-                  return; // Ground violation: prune this subtree.
-                continue;
-              }
-              Next.push_back(std::move(Lin));
-            }
-            Assignment[Id] = std::move(V);
-            Recurse(Idx + 1, Next);
-            Assignment.erase(Id);
-          };
-          for (int V = 0; V <= Opts.MultiplierBound; ++V) {
-            tryValue(Rational(V));
-            if (!NonNeg && V > 0)
-              tryValue(Rational(-V));
-          }
-        };
-    Recurse(0, Encoded);
+    Enum.Cap = Out.Combos.size() + MaxCombosPerAlternative;
+    enumerateLevel(0);
+  }
+
+  void enumerateLevel(size_t Idx) {
+    if (Enum.Out->Combos.size() >= Enum.Cap || Budget == 0)
+      return;
+    if (Idx == Enum.Quad.size()) {
+      enumerateLeaf(Idx);
+      return;
+    }
+    bool NonNeg = Pool.kind(Enum.Quad[Idx]) == UnknownKind::Multiplier;
+    for (int V = 0; V <= Opts.MultiplierBound; ++V) {
+      enumerateValue(Idx, Rational(V));
+      if (!NonNeg && V > 0)
+        enumerateValue(Idx, Rational(-V));
+    }
+  }
+
+  /// Fixes Quad[Idx] := \p V and recurses unless a constraint turns into
+  /// a violated constant.
+  void enumerateValue(size_t Idx, Rational V) {
+    int Id = Enum.Quad[Idx];
+    const char *Mentions = Enum.Mentions.data() + Idx * Enum.N;
+    const std::vector<LiveConstraint> &Cs = Enum.Live[Idx];
+    std::vector<LiveConstraint> &Next = Enum.Live[Idx + 1];
+    std::vector<PolyConstraint> &Owned = Enum.Owned[Idx + 1];
+    Next.clear();
+    // Sized before Next takes pointers into it; slots keep their term
+    // storage from value to value.
+    if (Owned.size() < Cs.size())
+      Owned.resize(Cs.size());
+    size_t NumOwned = 0;
+    auto violated = [](const PolyConstraint &PC) {
+      Rational C0 = PC.P.constantValue();
+      return PC.IsEq ? !C0.isZero() : C0.isNegative();
+    };
+    for (const LiveConstraint &LC : Cs) {
+      if (!Mentions[LC.Orig]) {
+        if (Idx == 0 && LC.PC->P.isConstant()) {
+          if (violated(*LC.PC))
+            return; // Ground violation: prune this subtree.
+          continue;
+        }
+        Next.push_back(LC);
+        continue;
+      }
+      PolyConstraint &Lin = Owned[NumOwned];
+      LC.PC->P.substituteOne(Id, V, Lin.P);
+      Lin.IsEq = LC.PC->IsEq;
+      if (Lin.P.isConstant()) {
+        if (violated(Lin))
+          return; // Ground violation: prune this subtree.
+        continue;
+      }
+      ++NumOwned;
+      Next.push_back({LC.Orig, &Lin});
+    }
+    Enum.Values[Idx] = std::move(V);
+    enumerateLevel(Idx + 1);
+  }
+
+  void enumerateLeaf(size_t Idx) {
+    ++LeafDecisions;
+    std::vector<const PolyConstraint *> &Cs = Enum.LeafCs;
+    Cs.clear();
+    for (const LiveConstraint &LC : Enum.Live[Idx])
+      Cs.push_back(LC.PC);
+    ComboFp Fp;
+    if (Learner) {
+      // One allocation-free hash serves both caches: the raw-param
+      // canonical identity decides which combos are interchangeable
+      // *choices* within the condition, and (being a refinement of the
+      // renaming-invariant combo identity) is also a sound key for the
+      // isolated-feasibility verdict cache.
+      Fp = hashCombo(Cs, Pool);
+      if (!Enum.CondSeen->insert(Fp).second) {
+        // A sibling alternative (or multiplier assignment) already
+        // contributes this exact linearization to the condition.
+        ++RunStats.CombosDeduped;
+        ++Learner->Stats.CombosDeduped;
+        return;
+      }
+    }
+    // Local LP filter (cache-backed when learning).
+    if (!comboLocallyFeasible(Cs, Learner ? &Fp : nullptr))
+      return;
+    Combo C;
+    C.Constraints.reserve(Cs.size());
+    for (const PolyConstraint *PC : Cs)
+      C.Constraints.push_back(*PC);
+    for (size_t I = 0; I < Enum.Quad.size(); ++I)
+      C.MultValues.emplace_hint(C.MultValues.end(), Enum.Quad[I],
+                                Enum.Values[I]);
+    Enum.Out->Combos.push_back(std::move(C));
   }
 
   void prepare() {
@@ -538,8 +637,9 @@ private:
       // The shared tableau already satisfies every chosen combo's
       // constraints: extract.
       FinalAssignment.assign(Pool.size(), Rational(0));
-      for (const auto &[Id, Var] : Lp.VarOf)
-        FinalAssignment[Id] = Lp.LP.modelValue(Var);
+      for (int Id : Lp.Mapped)
+        FinalAssignment[static_cast<size_t>(Id)] =
+            Lp.LP.modelValue(Lp.VarOf[static_cast<size_t>(Id)]);
       for (const Combo *C : Chosen)
         for (const auto &[Id, Value] : C->MultValues)
           FinalAssignment[Id] = Value;
@@ -651,7 +751,11 @@ private:
           ++UncheckedFrames;
           Ok = true;
         } else {
-          Ok = lpAddCheck(Lp, C.Constraints, Depth, &ConflictTag);
+          Ok = false;
+          if (chargeLpCheck()) {
+            lpAddConstraints(Lp, C.Constraints, Depth);
+            Ok = lpFeasible(Lp, &ConflictTag);
+          }
           if (Child >= 0 && Budget != 0) {
             SynthLearner::BranchNode &N = Learner->BranchTrie[Child];
             N.Verdict = Ok ? 1 : 0;
@@ -702,7 +806,7 @@ private:
     if (PopsSinceRebuild < RebuildInterval)
       return;
     PopsSinceRebuild = 0;
-    Lp = LpState();
+    Lp.reset();
     // Cut rows live below every scope; restore them first.
     if (!CutConstraints.empty())
       lpAddConstraints(Lp, CutConstraints, /*Tag=*/-1);
@@ -732,7 +836,32 @@ private:
   const std::vector<Condition> &Conditions;
   const SynthOptions &Opts;
   std::vector<PreparedCondition> Prepared;
-  LpState Lp; ///< Shared scoped tableau for the whole search.
+  LpState Lp;   ///< Shared scoped tableau for the whole search.
+  LpState Leaf; ///< The enumeration's leaf filter, reset per leaf.
+  std::vector<std::pair<int, Rational>> CoeffScratch; ///< lpAddConstraint's.
+
+  /// One constraint of an enumeration depth: its index in the encoding
+  /// and its current form (the encoded one, or a substitution owned by
+  /// some depth at or above this one).
+  struct LiveConstraint {
+    size_t Orig;
+    const PolyConstraint *PC;
+  };
+  /// enumerateCombos' working state, kept across alternatives for its
+  /// capacity. Depth D's constraints are Live[D]; the substitutions made
+  /// on entering depth D live in the leading slots of Owned[D].
+  struct EnumState {
+    std::vector<int> Quad;
+    size_t N = 0; ///< Constraints in the encoding.
+    std::vector<char> Mentions; ///< [L * N + I]: constraint I has Quad[L].
+    std::vector<std::vector<LiveConstraint>> Live;
+    std::vector<std::vector<PolyConstraint>> Owned;
+    std::vector<Rational> Values; ///< Values[D]: the value of Quad[D].
+    std::vector<const PolyConstraint *> LeafCs;
+    PreparedCondition *Out = nullptr;
+    std::unordered_set<ComboFp, ComboFpHash> *CondSeen = nullptr;
+    size_t Cap = 0;
+  } Enum;
   /// Constraint sets (with their depth tags) of the active branch, for
   /// tableau compaction.
   std::vector<std::pair<const std::vector<PolyConstraint> *, int>>

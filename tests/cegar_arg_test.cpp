@@ -228,6 +228,36 @@ TEST(ArgReuseTest, ForwardConvergesWithCoveringAndForcedCovers) {
 }
 
 //===----------------------------------------------------------------------===//
+// Golden work counts
+//===----------------------------------------------------------------------===//
+
+// Update deliberately when the search changes: the CEGAR jobs the
+// synthesis search dominates, pinned to the LPs, pivots and combos they
+// spend. A constant-factor change to the search must leave them alone.
+TEST(CegarWorkTest, SynthesisHeavyJobsSpendPinnedWork) {
+  struct Golden {
+    const char *Name;
+    const char *Source;
+    uint64_t LpChecks;
+    uint64_t Pivots;
+    uint64_t SynthCombos;
+  };
+  const Golden Cases[] = {
+      {"partition", testprogs::Partition, 81196, 63107, 96549},
+      {"init_check", testprogs::InitCheck, 36639, 28741, 36639},
+  };
+  for (const Golden &G : Cases) {
+    Verifier V;
+    auto R = V.verifySource(G.Source);
+    ASSERT_TRUE(R.hasValue()) << G.Name;
+    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe) << G.Name;
+    EXPECT_EQ(R.get().Stats.LpChecks, G.LpChecks) << G.Name;
+    EXPECT_EQ(R.get().Stats.Resources.Pivots, G.Pivots) << G.Name;
+    EXPECT_EQ(R.get().Stats.Resources.SynthCombos, G.SynthCombos) << G.Name;
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Differential: both engines agree on every paper program
 //===----------------------------------------------------------------------===//
 

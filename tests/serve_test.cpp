@@ -411,6 +411,73 @@ TEST(ServeAdmission, FullQueueShedsWithMachineReadableRejection) {
   EXPECT_EQ(Collector.take().size(), 2u);
 }
 
+TEST(ServeTiming, QueueWaitIsReportedApartFromServiceTime) {
+  // One worker, a slow job in front (real backoffs between its retry
+  // attempts), two quick jobs queued behind it: the quick jobs' wait
+  // shows as queue_ms, and wall_ms stays their own service time.
+  ServeOptions Opts = fastOptions(1);
+  Opts.BackoffBaseSeconds = 0.05;
+  Opts.BackoffCapSeconds = 0.1;
+  Server Srv(Opts);
+  using SteadyClock = std::chrono::steady_clock;
+  std::mutex Mu;
+  std::condition_variable Cv;
+  std::vector<std::pair<JobResponse, SteadyClock::time_point>> Answers;
+  auto Sink = [&](const JobResponse &R) {
+    auto Now = SteadyClock::now();
+    std::lock_guard<std::mutex> Lock(Mu);
+    Answers.emplace_back(R, Now);
+    Cv.notify_all();
+  };
+  std::vector<std::pair<std::string, SteadyClock::time_point>> Submits;
+  auto submit = [&](JobRequest Req) {
+    Submits.emplace_back(Req.Id, SteadyClock::now());
+    Srv.submit(std::move(Req), Sink);
+  };
+  submit(exhaustingReq("slow", 4));
+  JobRequest Quick1 = verifyReq("quick1", testprogs::StraightSafe);
+  Quick1.UseCache = false;
+  JobRequest Quick2 = verifyReq("quick2", testprogs::StraightSafe);
+  Quick2.UseCache = false;
+  submit(std::move(Quick1));
+  submit(std::move(Quick2));
+  {
+    std::unique_lock<std::mutex> Lock(Mu);
+    ASSERT_TRUE(Cv.wait_for(Lock, std::chrono::seconds(120),
+                            [&] { return Answers.size() == 3; }));
+  }
+  using Ms = std::chrono::duration<double, std::milli>;
+  double SlowWallMs = 0;
+  for (const auto &[R, AnsweredAt] : Answers) {
+    auto It = std::find_if(Submits.begin(), Submits.end(),
+                           [&](const auto &S) { return S.first == R.Id; });
+    ASSERT_NE(It, Submits.end());
+    double EndToEndMs = Ms(AnsweredAt - It->second).count();
+    EXPECT_GE(R.QueueMs, 0.0) << R.Id;
+    EXPECT_GE(R.WallMs, 0.0) << R.Id;
+    // The two stamps split the submit -> answer interval; what is left
+    // is the submit call itself and the sink's wake-up.
+    EXPECT_LE(R.QueueMs + R.WallMs, EndToEndMs + 1.0) << R.Id;
+    EXPECT_NEAR(R.QueueMs + R.WallMs, EndToEndMs,
+                25.0 + 0.05 * EndToEndMs)
+        << R.Id;
+    if (R.Id == "slow")
+      SlowWallMs = R.WallMs;
+  }
+  ASSERT_GT(SlowWallMs, 50.0) << "the slow job must occupy the worker";
+  for (const auto &[R, AnsweredAt] : Answers) {
+    (void)AnsweredAt;
+    if (R.Id == "slow")
+      continue;
+    EXPECT_EQ(R.Verdict, 'S') << R.Id;
+    // Queued behind the slow job: its service time is the wait.
+    EXPECT_GT(R.QueueMs, 0.5 * SlowWallMs) << R.Id;
+    EXPECT_LT(R.WallMs, R.QueueMs) << R.Id;
+  }
+  EXPECT_NE(Answers.front().first.toLine().find("\"queue_ms\""),
+            std::string::npos);
+}
+
 TEST(ServeDrain, EveryJobAnsweredExactlyOnce) {
   ServeOptions Opts = fastOptions(1);
   Opts.BackoffBaseSeconds = 0.1;

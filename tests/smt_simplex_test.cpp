@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 using namespace pathinv;
@@ -410,6 +411,106 @@ TEST(SimplexScopedPivotStormTest, PopRestoresAndMatchesFreshSolves) {
       break;
     }
   }
+}
+
+
+// A tableau reused through reset() must behave exactly like a fresh one:
+// same verdict, same core, same model and the same number of pivots (the
+// synthesis search's leaf filter relies on this to keep its pivot counts
+// and resource charges unchanged). Each LP also opens a scope for its
+// second half, so reset() is exercised with scopes, dead columns and
+// conflicts left behind by the previous LP.
+TEST(SimplexResetTest, ReusedTableauMatchesFreshOnRandomLps) {
+  std::mt19937_64 Rng(0x5eed);
+  struct Con {
+    std::vector<std::pair<int, Rational>> Coeffs;
+    SimplexRel Rel;
+    Rational Rhs;
+  };
+  Simplex Reused;
+  int Unsat = 0;
+  for (int Round = 0; Round < 400; ++Round) {
+    int NumVars = 1 + static_cast<int>(Rng() % 6);
+    int NumCons = 1 + static_cast<int>(Rng() % 9);
+    std::vector<Con> Cons;
+    for (int C = 0; C < NumCons; ++C) {
+      Con Constraint;
+      for (int V = 0; V < NumVars; ++V) {
+        int64_t Num = static_cast<int64_t>(Rng() % 9) - 4;
+        int64_t Den = 1 + static_cast<int64_t>(Rng() % 2);
+        if (Num != 0)
+          Constraint.Coeffs.emplace_back(V, Rational::fraction(Num, Den));
+      }
+      Constraint.Rel = static_cast<SimplexRel>(Rng() % 5);
+      Constraint.Rhs = Rational(static_cast<int64_t>(Rng() % 17) - 8);
+      Cons.push_back(std::move(Constraint));
+    }
+    auto run = [&](Simplex &S) {
+      for (int I = 0; I < NumVars; ++I)
+        S.addVar();
+      for (int C = 0; C < NumCons; ++C) {
+        if (C == NumCons / 2)
+          S.push();
+        S.addConstraint(Cons[C].Coeffs, Cons[C].Rel, Cons[C].Rhs, C);
+      }
+      return S.check();
+    };
+    Reused.reset();
+    EXPECT_EQ(Reused.numVars(), 0);
+    EXPECT_EQ(Reused.numScopes(), 0u);
+    EXPECT_EQ(Reused.numPivots(), 0u);
+    Simplex Fresh;
+    Simplex::Result RR = run(Reused);
+    Simplex::Result RF = run(Fresh);
+    ASSERT_EQ(RR, RF) << "round " << Round;
+    EXPECT_EQ(Reused.numPivots(), Fresh.numPivots()) << "round " << Round;
+    EXPECT_EQ(Reused.numVars(), Fresh.numVars()) << "round " << Round;
+    if (RF == Simplex::Result::Sat) {
+      EXPECT_EQ(Reused.model(), Fresh.model()) << "round " << Round;
+    } else {
+      ++Unsat;
+      EXPECT_EQ(Reused.unsatCore(), Fresh.unsatCore()) << "round " << Round;
+    }
+  }
+  EXPECT_GT(Unsat, 20) << "the sweep must exercise conflicts";
+  EXPECT_LT(Unsat, 380) << "the sweep must exercise feasible systems";
+}
+
+// Row construction over the flat rows: a constraint whose basic
+// variables are substituted away so that terms cancel. After the first
+// check, x + y >= 2 has pivoted x into the basis (x = s1 - y); then
+// x + y <= 1 substitutes to s1 <= 1 with y cancelled, which conflicts
+// with s1 >= 2 through both tags.
+TEST(SimplexFlatRowTest, SubstitutedRowCancelsToConflict) {
+  Simplex S;
+  int X = S.addVar();
+  int Y = S.addVar();
+  S.addConstraint({{X, Rational(1)}, {Y, Rational(1)}}, SimplexRel::Ge,
+                  Rational(2), 0);
+  ASSERT_EQ(S.check(), Simplex::Result::Sat);
+  EXPECT_EQ(S.numPivots(), 1u);
+  S.addConstraint({{X, Rational(1)}, {Y, Rational(1)}}, SimplexRel::Le,
+                  Rational(1), 1);
+  ASSERT_EQ(S.check(), Simplex::Result::Unsat);
+  std::vector<int> Core = S.unsatCore();
+  std::sort(Core.begin(), Core.end());
+  EXPECT_EQ(Core, (std::vector<int>{0, 1}));
+}
+
+// Repeated variables that cancel leave a ground constraint, and a single
+// surviving variable becomes a direct bound, not a row.
+TEST(SimplexFlatRowTest, RepeatedVariablesCancel) {
+  Simplex S;
+  int X = S.addVar();
+  int Y = S.addVar();
+  S.addConstraint({{X, Rational(2)}, {Y, Rational(1)}, {X, Rational(-2)}},
+                  SimplexRel::Ge, Rational(3), 0);
+  EXPECT_EQ(S.numVars(), 2) << "one surviving variable: a bound, no slack";
+  S.addConstraint({{X, Rational(1)}, {Y, Rational(3)}, {X, Rational(-1)},
+                   {Y, Rational(-3)}},
+                  SimplexRel::Ge, Rational(1), 1);
+  ASSERT_EQ(S.check(), Simplex::Result::Unsat);
+  EXPECT_EQ(S.unsatCore(), (std::vector<int>{1}));
 }
 
 } // namespace

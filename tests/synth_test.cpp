@@ -84,6 +84,69 @@ TEST(PolyTest, SubstituteBothFactors) {
   EXPECT_EQ(Q.constantValue(), Rational(14));
 }
 
+TEST(PolyTest, SubstituteIdTimesId) {
+  UnknownPool Pool;
+  int P0 = Pool.add(UnknownKind::Param, "p0");
+  int L0 = Pool.add(UnknownKind::FreeMult, "l0");
+  // 3*l0*l0 + 2*l0 + p0: both factors of l0*l0 collapse.
+  Poly P = Poly::unknown(L0) * Poly::unknown(L0) * Rational(3) +
+           Poly::unknown(L0) * Rational(2) + Poly::unknown(P0);
+  Poly Sub = P.substituteOne(L0, Rational(-2)); // 12 - 4 + p0
+  EXPECT_EQ(Sub, Poly::unknown(P0) + Poly(Rational(8)));
+  EXPECT_EQ(Sub.constantValue(), Rational(8));
+  Poly AtZero = P.substituteOne(L0, Rational(0));
+  EXPECT_EQ(AtZero, Poly::unknown(P0));
+  EXPECT_EQ(AtZero.terms().size(), 1u) << "zero terms must be dropped";
+}
+
+TEST(PolyTest, SubstitutionCancelsToZero) {
+  UnknownPool Pool;
+  int P0 = Pool.add(UnknownKind::Param, "p0");
+  int L0 = Pool.add(UnknownKind::Multiplier, "l0");
+  // l0*p0 - 2*p0 + 4 - 2*l0 at l0 = 2 is 2*p0 - 2*p0 + 4 - 4.
+  Poly P = Poly::unknown(L0) * Poly::unknown(P0) -
+           Poly::unknown(P0) * Rational(2) + Poly(Rational(4)) -
+           Poly::unknown(L0) * Rational(2);
+  Poly Sub = P.substituteOne(L0, Rational(2));
+  EXPECT_TRUE(Sub.isZero());
+  EXPECT_TRUE(Sub.isConstant());
+  EXPECT_EQ(Sub.constantValue(), Rational(0));
+  // The storage-reusing overload gives the same result over a target
+  // that held a longer polynomial.
+  Poly Out = P;
+  P.substituteOne(L0, Rational(2), Out);
+  EXPECT_TRUE(Out.isZero());
+  P.substituteOne(L0, Rational(1), Out);
+  EXPECT_EQ(Out, P.substituteOne(L0, Rational(1)));
+  EXPECT_EQ(Out, Poly(Rational(2)) - Poly::unknown(P0));
+}
+
+TEST(PolyTest, TermsIterateInMonomialOrder) {
+  UnknownPool Pool;
+  int A = Pool.add(UnknownKind::Param, "a");
+  int B = Pool.add(UnknownKind::Param, "b");
+  int L = Pool.add(UnknownKind::Multiplier, "l");
+  // Built out of order; iteration is constant, linear terms by unknown,
+  // then products by (first, second) unknown.
+  Poly P = Poly::unknown(L) * Poly::unknown(B) + Poly::unknown(B) +
+           Poly::unknown(A) * Poly::unknown(L) + Poly(Rational(5)) +
+           Poly::unknown(A) * Rational(-1);
+  std::vector<Monomial> Order;
+  for (const auto &[M, C] : P.terms())
+    Order.push_back(M);
+  std::vector<Monomial> Want = {Monomial::constant(), Monomial::linear(A),
+                                Monomial::linear(B),
+                                Monomial::quadratic(A, L),
+                                Monomial::quadratic(B, L)};
+  EXPECT_EQ(Order, Want);
+  EXPECT_EQ(P.toString(Pool), "5 - a + b + a*l + b*l");
+  EXPECT_FALSE(P.isLinear());
+  // Substituting l reorders the products into the linear section.
+  Poly Sub = P.substituteOne(L, Rational(3));
+  EXPECT_EQ(Sub.toString(Pool), "5 + 2*a + 4*b");
+  EXPECT_TRUE(Sub.isLinear());
+}
+
 TEST(FarkasTest, SimpleImplication) {
   // x - 1 <= 0 && -x <= 0  |=  x - 2 <= 0 must be derivable;
   // |= x + 1 <= 0 must not.
@@ -492,6 +555,19 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
   }
   EXPECT_GE(Compared, 25) << "budget trips swallowed most of the sweep";
   EXPECT_GT(Learned, 0u);
+}
+
+// Golden work counts: update deliberately when the search changes. The
+// synthesis search's inner loop is tuned for constant factors only; a
+// change that alters which combos, LPs or pivots it visits shows here
+// before it shows in a verdict.
+TEST_F(SynthFixture, PartitionWholeProgramWorkIsPinned) {
+  Program P = load(testprogs::Partition);
+  PathInvOptions Off;
+  Off.Synth.Learning = false;
+  PathInvResult R = generatePathInvariants(P, Solver, Off);
+  ASSERT_TRUE(R.Found) << R.FailureReason;
+  EXPECT_EQ(R.LpChecks, 21545u);
 }
 
 TEST_F(SynthFixture, CheckerRejectsBogusMap) {

@@ -26,15 +26,16 @@
 ///    ratio and wall-time speedup between the two. Verdicts must agree.
 ///  * A `synthesis_partition` microbenchmark: whole-program constraint
 ///    synthesis on PARTITION (the search hotspot of the paper programs),
-///    run twice in-process — once with conflict learning (nogoods, combo
-///    dedup, the cross-scope verdict cache, root cuts; the learner
-///    persists across iterations the way the engines hold one per job)
-///    and once with learning off, the exact pre-learning backjumping
-///    search. The throughput unit is combos processed: LP checks plus
-///    cached-verdict hits plus nogood prunes, so both modes count the
-///    same search work however it was discharged. Both runs must find
-///    the map and agree on the template level — a miss or a level
-///    disagreement is a correctness bug, not a slow one.
+///    with conflict learning (nogoods, combo dedup, the cross-scope
+///    verdict cache, root cuts) and with learning off, the exact
+///    pre-learning backjumping search. The learned search is reported
+///    twice: cold (first run on a fresh learner, an engine job's path)
+///    and warm (a later run replaying the learner). The throughput unit
+///    is combos processed: LP checks plus cached-verdict hits plus nogood
+///    prunes, so every mode counts the same search work however it was
+///    discharged. All runs must find the map and agree on the template
+///    level — a miss or a level disagreement is a correctness bug, not a
+///    slow one.
 ///  * A `pdr_frames` microbenchmark: delta-encoded clause-frame churn
 ///    (blocking with subsumption pruning, blocked-cube queries, clause
 ///    pushing, frame collection) — the PDR engine's bookkeeping inner
@@ -607,34 +608,45 @@ ReuseResult refinementReuseWorkload(int Loops) {
 /// CEGAR escalation ladder and the portfolio probe both end on for the
 /// hard Safe programs. Measured directly so the hotspot has its own
 /// trajectory line instead of hiding inside e2e walls. The throughput
-/// unit is combos processed — LP feasibility checks plus cached-verdict
-/// hits plus nogood prunes — so the learned mode and the learning-off
-/// reference count identical search work however each discharged it.
-/// Both modes must find the map and agree on the escalation level; a
-/// miss or a disagreement aborts the harness (differential check, same
-/// policy as rational_pivot's checksum).
-struct SynthBenchResult {
-  MicroResult Learned;   ///< Learning on, learner persisted across iters.
-  MicroResult Reference; ///< Learning off: the pre-learning search.
-  // Side-channel scalars of the learned mode's best run.
+/// unit is combos processed — LP checks plus cached-verdict hits plus
+/// nogood prunes — so the learned runs and the learning-off reference
+/// count identical search work however each discharged it.
+///
+/// Three runs are reported apart. The cold run is the first search on a
+/// fresh learner: the path an engine job takes. The warm run is the best
+/// later search on that learner, a replay of the verdict cache. The
+/// reference is the learning-off search, best of the iterations. All
+/// must find the map and agree on the escalation level; a miss or a
+/// disagreement aborts the harness (differential check, same policy as
+/// rational_pivot's checksum).
+struct SynthRun {
+  MicroResult Time;
   uint64_t LpChecks = 0;
   uint64_t Nogoods = 0;
   uint64_t Deduped = 0;
   uint64_t Reused = 0;
   uint64_t Cuts = 0;
+};
+
+struct SynthBenchResult {
+  SynthRun Cold;      ///< First run on a fresh learner.
+  SynthRun Warm;      ///< Best later run on the same learner.
+  SynthRun Reference; ///< Learning off: the pre-learning search.
   int LevelUsed = -1;
   int LevelsTried = 0;
 
+  /// Warm replay throughput over the reference's: printed, not gated (a
+  /// change to the shared search substrate moves the reference too).
   double speedup() const {
-    return Reference.opsPerSec() > 0
-               ? Learned.opsPerSec() / Reference.opsPerSec()
+    return Reference.Time.opsPerSec() > 0
+               ? Warm.Time.opsPerSec() / Reference.Time.opsPerSec()
                : 0;
   }
 };
 
 SynthBenchResult synthesisPartitionWorkload(int Iters) {
   SynthBenchResult R;
-  auto runOnce = [](const pathinv::PathInvOptions &Opts, double &Ms) {
+  auto runOnce = [](const pathinv::PathInvOptions &Opts, SynthRun &Run) {
     pathinv::Verifier V;
     pathinv::Expected<pathinv::Program> P =
         V.loadSource(pathinv::testprogs::Partition);
@@ -646,39 +658,44 @@ SynthBenchResult synthesisPartitionWorkload(int Iters) {
     auto Start = Clock::now();
     pathinv::PathInvResult Res =
         pathinv::generatePathInvariants(P.get(), V.solver(), Opts);
-    Ms = elapsedMs(Start, Clock::now());
+    Run.Time.WallMs = elapsedMs(Start, Clock::now());
     if (!Res.Found) {
       std::cerr << "[bench] synthesis-partition: search failed ("
                 << Res.FailureReason << ")\n";
       std::abort();
     }
+    Run.Time.Ops = Res.LpChecks + Res.Learn.CombosDeduped +
+                   Res.Learn.LemmasReused + Res.Learn.Nogoods;
+    Run.LpChecks = Res.LpChecks;
+    Run.Nogoods = Res.Learn.Nogoods;
+    Run.Deduped = Res.Learn.CombosDeduped;
+    Run.Reused = Res.Learn.LemmasReused;
+    Run.Cuts = Res.Learn.Cuts;
     return Res;
   };
 
-  // Learned mode: one learner spans the iterations, the way the engines
-  // hold one per job — the first run is cold, later runs measure the
-  // warmed verdict cache (the steady state of repeated synthesis). At
-  // least two runs even in smoke mode, so the best-of always saw the
-  // cache warm.
+  // Learned runs: one learner spans the iterations, the way the engines
+  // hold one per job. The first run is cold; at least one more runs even
+  // in smoke mode, so a warm replay is always measured.
   pathinv::SynthLearner Learner;
-  const int LearnedIters = std::max(Iters, 2);
+  const int LearnedIters = std::max(Iters, 1) + 1;
   for (int I = 0; I < LearnedIters; ++I) {
     pathinv::PathInvOptions Opts;
     Opts.Synth.Learner = &Learner;
-    double Ms = 0;
-    pathinv::PathInvResult Res = runOnce(Opts, Ms);
-    uint64_t Ops = Res.LpChecks + Res.Learn.CombosDeduped +
-                   Res.Learn.LemmasReused + Res.Learn.Nogoods;
-    if (I == 0 || Ms < R.Learned.WallMs) {
-      R.Learned.Ops = Ops;
-      R.Learned.WallMs = Ms;
-      R.LpChecks = Res.LpChecks;
-      R.Nogoods = Res.Learn.Nogoods;
-      R.Deduped = Res.Learn.CombosDeduped;
-      R.Reused = Res.Learn.LemmasReused;
-      R.Cuts = Res.Learn.Cuts;
+    SynthRun Run;
+    pathinv::PathInvResult Res = runOnce(Opts, Run);
+    if (I == 0) {
+      R.Cold = Run;
       R.LevelUsed = Res.LevelUsed;
       R.LevelsTried = Res.LevelsTried;
+    } else if (I == 1 || Run.Time.WallMs < R.Warm.Time.WallMs) {
+      R.Warm = Run;
+    }
+    if (Res.LevelUsed != R.LevelUsed) {
+      std::cerr << "[bench] synthesis-partition: learned run " << I
+                << " used level " << Res.LevelUsed << ", the cold run "
+                << R.LevelUsed << "\n";
+      std::abort();
     }
   }
 
@@ -686,11 +703,10 @@ SynthBenchResult synthesisPartitionWorkload(int Iters) {
   for (int I = 0; I < Iters; ++I) {
     pathinv::PathInvOptions Opts;
     Opts.Synth.Learning = false;
-    double Ms = 0;
-    pathinv::PathInvResult Res = runOnce(Opts, Ms);
-    if (I == 0 || Ms < R.Reference.WallMs) {
-      R.Reference.Ops = Res.LpChecks;
-      R.Reference.WallMs = Ms;
+    SynthRun Run;
+    pathinv::PathInvResult Res = runOnce(Opts, Run);
+    if (I == 0 || Run.Time.WallMs < R.Reference.Time.WallMs) {
+      R.Reference = Run;
       RefLevel = Res.LevelUsed;
     }
   }
@@ -1081,15 +1097,18 @@ int main(int Argc, char **Argv) {
   std::cerr << "[bench] synthesis-partition (" << SynthIters
             << " iters, learned vs learning-off reference)\n";
   SynthBenchResult Synth = synthesisPartitionWorkload(SynthIters);
-  std::cerr << "[bench]   learned " << Synth.Learned.Ops << " combos in "
-            << Synth.Learned.WallMs << " ms (" << Synth.Learned.opsPerSec()
-            << " /s; " << Synth.LpChecks << " LP checks, " << Synth.Nogoods
-            << " nogoods, " << Synth.Deduped << " deduped, " << Synth.Reused
-            << " reused), reference " << Synth.Reference.Ops
-            << " combos in " << Synth.Reference.WallMs << " ms ("
-            << Synth.Reference.opsPerSec() << " /s) — speedup "
-            << Synth.speedup() << "x, template level " << Synth.LevelUsed
-            << "\n";
+  auto describe = [](const char *Name, const SynthRun &Run) {
+    std::cerr << "[bench]   " << Name << " " << Run.Time.Ops
+              << " combos in " << Run.Time.WallMs << " ms ("
+              << Run.Time.opsPerSec() << " /s; " << Run.LpChecks
+              << " LP checks, " << Run.Nogoods << " nogoods, "
+              << Run.Deduped << " deduped, " << Run.Reused << " reused)\n";
+  };
+  describe("cold", Synth.Cold);
+  describe("warm", Synth.Warm);
+  describe("reference", Synth.Reference);
+  std::cerr << "[bench]   warm/reference " << Synth.speedup()
+            << "x (not gated), template level " << Synth.LevelUsed << "\n";
 
   std::cerr << "[bench] pdr-frames (" << FrameRounds << " rounds x "
             << Iters << " iters)\n";
@@ -1220,26 +1239,27 @@ int main(int Argc, char **Argv) {
          << "\n    }";
   }
   Json << ",\n";
-  // Conflict-learning differential: "synthesis" is the learned search
-  // (ops = combos processed: LP checks + cached-verdict hits + nogood
-  // prunes), "reference" the learning-off pre-learning search on the
-  // same program (its every combo costs an LP check). Both found the
-  // map at the same template level or the harness would have aborted.
-  // The synth_* scalars are side-channel fields for trajectory reading,
-  // skipped by the regression checker's mode scan.
-  Json << "    \"synthesis_partition\": {\n"
-       << "      \"synthesis\": {\"ops\": " << Synth.Learned.Ops
-       << ", \"wall_ms\": " << Synth.Learned.WallMs
-       << ", \"ops_per_sec\": " << Synth.Learned.opsPerSec() << "},\n"
-       << "      \"reference\": {\"ops\": " << Synth.Reference.Ops
-       << ", \"wall_ms\": " << Synth.Reference.WallMs
-       << ", \"ops_per_sec\": " << Synth.Reference.opsPerSec() << "},\n"
-       << "      \"speedup_vs_reference\": " << Synth.speedup() << ",\n"
-       << "      \"lp_checks\": " << Synth.LpChecks << ",\n"
-       << "      \"synth_nogoods\": " << Synth.Nogoods << ",\n"
-       << "      \"synth_combos_deduped\": " << Synth.Deduped << ",\n"
-       << "      \"synth_lemmas_reused\": " << Synth.Reused << ",\n"
-       << "      \"synth_cuts\": " << Synth.Cuts << ",\n"
+  // Conflict-learning differential: "cold" is the first learned search
+  // on a fresh learner (an engine job's path), "warm" the best replay on
+  // the learner it filled, "reference" the learning-off search. Each mode
+  // carries its work counts; check_bench_regression.py's
+  // --require-synthesis-counts gates on those, and speedup_vs_reference
+  // (warm over reference) is printed but no longer gated.
+  auto synthMode = [&Json](const char *Name, const SynthRun &Run) {
+    Json << "      \"" << Name << "\": {\"ops\": " << Run.Time.Ops
+         << ", \"wall_ms\": " << Run.Time.WallMs
+         << ", \"ops_per_sec\": " << Run.Time.opsPerSec()
+         << ", \"lp_checks\": " << Run.LpChecks
+         << ", \"synth_nogoods\": " << Run.Nogoods
+         << ", \"synth_combos_deduped\": " << Run.Deduped
+         << ", \"synth_lemmas_reused\": " << Run.Reused
+         << ", \"synth_cuts\": " << Run.Cuts << "},\n";
+  };
+  Json << "    \"synthesis_partition\": {\n";
+  synthMode("cold", Synth.Cold);
+  synthMode("warm", Synth.Warm);
+  synthMode("reference", Synth.Reference);
+  Json << "      \"speedup_vs_reference\": " << Synth.speedup() << ",\n"
        << "      \"template_level_used\": " << Synth.LevelUsed << ",\n"
        << "      \"template_levels_tried\": " << Synth.LevelsTried
        << "\n    },\n";

@@ -6,6 +6,7 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json
            [--require-microbench KEY:MINSPEEDUP ...]
            [--require-reuse MINRATIO]
            [--require-portfolio MAXRATIO [--portfolio-noise-ms MS]]
+           [--require-synthesis-counts]
 
 Gates:
   * end_to_end_total_wall_ms: current may be at most
@@ -36,6 +37,14 @@ Gates:
     scheduling noise, so a wall within --portfolio-noise-ms (default
     250) of the best single engine passes regardless of the ratio. The
     gate also re-checks that all three engines agreed on the verdict.
+  * --require-synthesis-counts gates the synthesis_partition microbench
+    (schema v10+) on work counts, not on a time ratio: the warm run
+    (a replay of the learner the cold run filled) does 0 LP checks and
+    reuses at least every LP the learning-off reference checks, and the
+    cold run (a fresh learner: an engine job's path) checks no more LPs
+    than the reference. The warm/reference speedup is printed, not gated:
+    both sides run on the same search substrate, so a change that speeds
+    that substrate up shrinks the ratio without any loss.
 
 Exits 0 when every gate holds, 1 otherwise.
 """
@@ -96,6 +105,11 @@ def main():
                          "MAXRATIO x the better single engine's wall "
                          "(subject to --portfolio-noise-ms), or if the "
                          "three engines disagree on a verdict")
+    ap.add_argument("--require-synthesis-counts", action="store_true",
+                    help="fail unless synthesis_partition's warm run does "
+                         "0 LP checks and reuses every reference LP, and "
+                         "its cold run checks no more LPs than the "
+                         "learning-off reference")
     ap.add_argument("--portfolio-noise-ms", type=float, default=250.0,
                     metavar="MS",
                     help="absolute slack for the portfolio gate: a wall "
@@ -155,8 +169,8 @@ def main():
         for mode, stats in entry.items():
             # Skip the reference mode, the ratio, and scalar side-channel
             # fields (e.g. integer_split's bnb_nodes/scratch_fallbacks,
-            # synthesis_partition's lp_checks and synth_nogoods /
-            # synth_combos_deduped / synth_lemmas_reused / synth_cuts).
+            # synthesis_partition's template_level_used). The first mode
+            # dict is the one under test (synthesis_partition: "cold").
             if mode in ("reference", "speedup_vs_reference"):
                 continue
             if isinstance(stats, dict):
@@ -247,6 +261,34 @@ def main():
         if gated == 0:
             print("FAIL: portfolio gate matched no end-to-end entries")
             ok = False
+
+    if args.require_synthesis_counts:
+        synth = cur.get("microbench", {}).get("synthesis_partition", {})
+        cold, warm, ref = (synth.get(k) for k in ("cold", "warm",
+                                                  "reference"))
+        if not all(isinstance(m, dict) for m in (cold, warm, ref)):
+            print("FAIL: synthesis_partition lacks the cold/warm/reference "
+                  "runs the count gate needs (schema v10+)")
+            ok = False
+        else:
+            ref_lps = ref["lp_checks"]
+            checks = [
+                (f"warm run LP checks {warm['lp_checks']} == 0",
+                 warm["lp_checks"] == 0),
+                (f"warm run reuses {warm['synth_lemmas_reused']} >= "
+                 f"reference LPs {ref_lps}",
+                 warm["synth_lemmas_reused"] >= ref_lps),
+                (f"cold run LP checks {cold['lp_checks']} <= reference "
+                 f"LPs {ref_lps}", cold["lp_checks"] <= ref_lps),
+            ]
+            for line, holds in checks:
+                print(("OK:   " if holds else "FAIL: ") +
+                      "synthesis_partition " + line)
+                ok = ok and holds
+            print(f"info: synthesis_partition warm/reference speedup "
+                  f"{synth.get('speedup_vs_reference', 0.0):.2f}x, cold "
+                  f"{cold['wall_ms']:.0f} ms, warm {warm['wall_ms']:.0f} "
+                  f"ms, reference {ref['wall_ms']:.0f} ms (not gated)")
 
     if "incremental" in cur:
         inc = cur["incremental"]
