@@ -1166,6 +1166,62 @@ ConjResult TheoryConjSolver::solveFacts(std::vector<Fact> Facts, int Depth) {
       return R;
     }
 
+  // --- Phase 3.6: disequalities the relaxation refutes --------------------
+  // A disequality A != B whose sides the arithmetic forces equal (A < B
+  // and B < A each infeasible, tightened to A - B <= -1 and B - A <= -1
+  // over these integer-valued atoms) is refuted before any integrality
+  // split. Branching first can diverge: on an unbounded integer ray such
+  // as y + 2x - 2i = 3 the floor branch stays feasible with a fresh
+  // fractional value at every depth until MaxSplitDepth, so an unsat
+  // query answered Unknown or Unsat depending on the order of its
+  // conjuncts. The checks run in scopes of the phase-2 tableau; only the
+  // model already copied out above is used afterwards.
+  if (AnyFractional) {
+    for (size_t I = 0; I < Facts.size(); ++I) {
+      const Term *Lit = Facts[I].Literal;
+      if (Lit->kind() != TermKind::Not)
+        continue;
+      const Term *A = Lit->operand(0)->operand(0);
+      const Term *B = Lit->operand(0)->operand(1);
+      if (!A->isInt() ||
+          evalUnderModel(A, AtomValues) != evalUnderModel(B, AtomValues))
+        continue;
+      std::vector<int> Core;
+      bool Refuted = true;
+      for (bool ALess : {true, false}) {
+        LinearExpr Gap = normalizeToIntegral(
+            ALess ? *LinearExpr::fromTerm(A) - *LinearExpr::fromTerm(B)
+                  : *LinearExpr::fromTerm(B) - *LinearExpr::fromTerm(A));
+        Gap.addConstant(Rational(1));
+        int GapTag = freshDerivedTag({});
+        Splx.push();
+        addLinearConstraint(Splx, AtomVar, nullptr, Gap, SimplexRel::Le,
+                            GapTag);
+        Simplex::Result GapResult = Splx.check();
+        if (GapResult == Simplex::Result::Interrupted) {
+          ConjResult R;
+          R.Interrupted = true;
+          return R;
+        }
+        Refuted = GapResult == Simplex::Result::Unsat;
+        if (Refuted)
+          for (int Tag : expandTags(Splx.unsatCore()))
+            Core.push_back(Tag);
+        Splx.pop();
+        if (!Refuted)
+          break;
+      }
+      if (!Refuted)
+        continue;
+      Core.push_back(static_cast<int>(I));
+      std::sort(Core.begin(), Core.end());
+      Core.erase(std::unique(Core.begin(), Core.end()), Core.end());
+      ConjResult R;
+      R.Core = std::move(Core);
+      return R;
+    }
+  }
+
   // --- Phase 4a: integrality splits (branch and bound) --------------------
   // Program variables, array cells, and function values are integers; the
   // simplex model is rational. A fractional value triggers the classic

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace pathinv;
 
 namespace {
@@ -194,6 +196,35 @@ TEST_F(SmtTest, ArrayAliasSubstitution) {
 }
 
 // --- Entailment (the predicate-abstraction workhorse) ------------------------
+
+// Regression: a disequality whose sides the other conjuncts force equal,
+// over an unbounded integer ray (y + 2x - 2i = 3 has integer solutions
+// in every direction). Integrality branching ran first and diverged into
+// the split-depth limit, so one conjunct order answered Unknown and the
+// reverse order Unsat. This is the query behind a rejected, correct
+// certificate for fuzz seed 30 (`L3 := y + 2*x = 2*i + 3`).
+TEST_F(SmtTest, ForcedEqualDisequalityIsUnsatInEveryOrder) {
+  const char *Conjuncts[] = {
+      "y_0 = y_1", "i_0 = i_1", "x_0 = x_1", "y_1 = y_2",
+      "y_0 + 2*x_0 <= 3 + 2*i_0", "2*i_0 <= -3 + y_0 + 2*x_0",
+      "y_1 + 2*x_1 != 3 + 2*i_1"};
+  std::string Forward, Reverse;
+  for (size_t I = 0; I < 7; ++I) {
+    Forward += (I ? " && " : "") + std::string(Conjuncts[I]);
+    Reverse += (I ? " && " : "") + std::string(Conjuncts[6 - I]);
+  }
+  for (const std::string &Text : {Forward, Reverse}) {
+    SmtSolver Fresh{TM};
+    EXPECT_EQ(Fresh.checkSat(parse(Text.c_str())), SmtSolver::Status::Unsat)
+        << Text;
+  }
+  // The single-frame form, and a satisfiable neighbour: the refutation
+  // must not fire when the sides can differ.
+  EXPECT_FALSE(isSat("y + 2*x <= 3 + 2*i && 2*i <= -3 + y + 2*x && "
+                     "y + 2*x != 3 + 2*i"));
+  EXPECT_TRUE(isSat("y + 2*x <= 4 + 2*i && 2*i <= -3 + y + 2*x && "
+                    "y + 2*x != 3 + 2*i"));
+}
 
 TEST_F(SmtTest, Entailment) {
   EXPECT_TRUE(Solver.entails(parse("x = 2"), parse("x >= 1")));
