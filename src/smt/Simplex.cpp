@@ -24,16 +24,20 @@ void Simplex::reset() {
 }
 
 int Simplex::addVar() {
-  Vars.push_back(VarState());
+  Vars.emplace_back();
   if (Rows.size() < Vars.size())
     Rows.emplace_back();
   return static_cast<int>(Vars.size()) - 1;
 }
 
-Simplex::Row::iterator Simplex::findEntry(Row &R, int Var) {
-  auto It = std::lower_bound(
+Simplex::Row::iterator Simplex::lowerBound(Row &R, int Var) {
+  return std::lower_bound(
       R.begin(), R.end(), Var,
       [](const std::pair<int, Rational> &E, int V) { return E.first < V; });
+}
+
+Simplex::Row::iterator Simplex::findEntry(Row &R, int Var) {
+  auto It = lowerBound(R, Var);
   return It != R.end() && It->first == Var ? It : R.end();
 }
 
@@ -130,18 +134,16 @@ void Simplex::addConstraint(
     Scale = Sum.front().second;
   } else {
     // Introduce a slack variable s = expr, substituting rows for any basic
-    // variables so the row mentions only nonbasic ones.
-    Row NewRow;
+    // variables so the row mentions only nonbasic ones. The row is built
+    // in the slack's own slot, reusing the storage it kept over reset().
+    BoundVar = addVar();
+    Row &NewRow = Rows[BoundVar];
     DeltaRational Beta;
     for (const auto &[Var, Coeff] : Sum) {
       if (Vars[Var].Basic) {
         addScaledRow(NewRow, Rows[Var], Coeff);
       } else {
-        auto It = std::lower_bound(
-            NewRow.begin(), NewRow.end(), Var,
-            [](const std::pair<int, Rational> &E, int V) {
-              return E.first < V;
-            });
+        auto It = lowerBound(NewRow, Var);
         if (It == NewRow.end() || It->first != Var) {
           NewRow.emplace(It, Var, Coeff);
         } else {
@@ -152,10 +154,8 @@ void Simplex::addConstraint(
       }
       Beta.addMul(Vars[Var].Beta, Coeff);
     }
-    BoundVar = addVar();
     Vars[BoundVar].Basic = true;
     Vars[BoundVar].Beta = Beta;
-    Rows[BoundVar] = std::move(NewRow);
   }
 
   assertBound(BoundVar, Rel, Scale, Rhs, Tag);
@@ -297,14 +297,16 @@ void Simplex::updateNonbasic(int Var, const DeltaRational &Value) {
 
 void Simplex::pivot(int Basic, int Nonbasic) {
   ++NumPivots;
-  Row OldRow = std::move(Rows[Basic]);
-  Rows[Basic].clear();
+  // Nonbasic's slot is empty (it is not basic) and receives its new row;
+  // Basic's row is cleared once that row is built.
+  Row &OldRow = Rows[Basic];
+  Row &NewRow = Rows[Nonbasic];
   Rational PivotCoeff = findEntry(OldRow, Nonbasic)->second;
   assert(!PivotCoeff.isZero() && "pivot on zero coefficient");
+  assert(NewRow.empty() && "nonbasic variable owns a row");
 
   // Express Nonbasic in terms of Basic and the remaining row variables:
   //   Basic = sum(a_k x_k)  ==>  Nonbasic = (Basic - sum_{k!=j} a_k x_k)/a_j
-  Row NewRow;
   NewRow.reserve(OldRow.size());
   bool BasicPlaced = false;
   for (const auto &[Var, Coeff] : OldRow) {
@@ -318,10 +320,12 @@ void Simplex::pivot(int Basic, int Nonbasic) {
   }
   if (!BasicPlaced)
     NewRow.emplace_back(Basic, PivotCoeff.inverse());
+  OldRow.clear();
+  Vars[Basic].Basic = false;
 
   // Substitute into every other row that mentions Nonbasic.
   for (int OtherBasic = 0; OtherBasic < numVars(); ++OtherBasic) {
-    if (!Vars[OtherBasic].Basic || OtherBasic == Basic)
+    if (!Vars[OtherBasic].Basic)
       continue;
     Row &OtherRow = Rows[OtherBasic];
     auto It = findEntry(OtherRow, Nonbasic);
@@ -331,8 +335,6 @@ void Simplex::pivot(int Basic, int Nonbasic) {
     addScaledRow(OtherRow, NewRow, Factor, /*Skip=*/Nonbasic);
   }
 
-  Rows[Nonbasic] = std::move(NewRow);
-  Vars[Basic].Basic = false;
   Vars[Nonbasic].Basic = true;
 }
 

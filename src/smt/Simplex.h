@@ -136,6 +136,8 @@ private:
   /// (Bland's rule and the conflict core depend on that order).
   using Row = std::vector<std::pair<int, Rational>>;
 
+  /// \returns the first entry of \p R whose var is not below \p Var.
+  static Row::iterator lowerBound(Row &R, int Var);
   /// \returns the entry of \p Var in \p R, or R.end().
   static Row::iterator findEntry(Row &R, int Var);
   /// Dst += Factor * Src, keeping Dst sorted and free of zero entries.
