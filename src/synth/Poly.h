@@ -127,9 +127,9 @@ public:
   /// Accumulates `*this += RHS * Factor` without a temporary polynomial
   /// (alias-safe).
   void addMul(const Poly &RHS, const Rational &Factor);
-  /// Accumulates `*this += A * B` (degree-checked) without materializing
-  /// the product polynomial. Fuses the Farkas column-equation pattern
-  /// `Sum.add(Lambda * Coeff)` into in-place updates.
+  /// Accumulates `*this += A * B` (degree-checked): builds the product
+  /// polynomial, normalizes it, then merges it in with add(). Serves the
+  /// Farkas column-equation pattern `Sum.add(Lambda * Coeff)`.
   void addMul(const Poly &A, const Poly &B);
 
   Poly operator+(const Poly &RHS) const {

@@ -6,7 +6,6 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json
            [--require-microbench KEY:MINSPEEDUP ...]
            [--require-reuse MINRATIO]
            [--require-portfolio MAXRATIO [--portfolio-noise-ms MS]]
-           [--require-synthesis-counts]
 
 Gates:
   * end_to_end_total_wall_ms: current may be at most
@@ -23,7 +22,9 @@ Gates:
     max-regression — absolute and therefore machine-dependent, so only
     compare files produced on the same machine (CI's cross-machine smoke
     run passes --max-regression 1000 to reduce this gate to a
-    verdict check);
+    verdict check). A key whose mode under test has a different name in
+    the two files (synthesis_partition: v9 "synthesis", a warm replay,
+    against v10 "cold") measures different runs and is skipped;
   * --require-microbench KEY:MIN enforces an absolute floor on a current
     microbench's speedup_vs_reference (e.g. rational_pivot:1.5);
   * --require-reuse MIN enforces a floor on the refinement_reuse
@@ -37,14 +38,16 @@ Gates:
     scheduling noise, so a wall within --portfolio-noise-ms (default
     250) of the best single engine passes regardless of the ratio. The
     gate also re-checks that all three engines agreed on the verdict.
-  * --require-synthesis-counts gates the synthesis_partition microbench
-    (schema v10+) on work counts, not on a time ratio: the warm run
+  * whenever the current file has the synthesis_partition microbench,
+    it is gated on work counts, not on a time ratio: the warm run
     (a replay of the learner the cold run filled) does 0 LP checks and
     reuses at least every LP the learning-off reference checks, and the
     cold run (a fresh learner: an engine job's path) checks no more LPs
     than the reference. The warm/reference speedup is printed, not gated:
     both sides run on the same search substrate, so a change that speeds
-    that substrate up shrinks the ratio without any loss.
+    that substrate up shrinks the ratio without any loss. A current file
+    whose synthesis_partition lacks the cold/warm/reference runs (schema
+    before v10) fails this gate.
 
 Exits 0 when every gate holds, 1 otherwise.
 """
@@ -105,11 +108,6 @@ def main():
                          "MAXRATIO x the better single engine's wall "
                          "(subject to --portfolio-noise-ms), or if the "
                          "three engines disagree on a verdict")
-    ap.add_argument("--require-synthesis-counts", action="store_true",
-                    help="fail unless synthesis_partition's warm run does "
-                         "0 LP checks and reuses every reference LP, and "
-                         "its cold run checks no more LPs than the "
-                         "learning-off reference")
     ap.add_argument("--portfolio-noise-ms", type=float, default=250.0,
                     metavar="MS",
                     help="absolute slack for the portfolio gate: a wall "
@@ -174,14 +172,18 @@ def main():
             if mode in ("reference", "speedup_vs_reference"):
                 continue
             if isinstance(stats, dict):
-                return stats.get("ops_per_sec")
-        return None
+                return mode, stats.get("ops_per_sec")
+        return None, None
 
     base_micro = base.get("microbench", {})
     cur_micro = cur.get("microbench", {})
     for key in sorted(set(base_micro) & set(cur_micro)):
-        b = under_test(base_micro[key])
-        c = under_test(cur_micro[key])
+        b_mode, b = under_test(base_micro[key])
+        c_mode, c = under_test(cur_micro[key])
+        if b_mode != c_mode:
+            print(f"skip: microbench {key}: mode under test differs "
+                  f"({b_mode} -> {c_mode}), not comparable")
+            continue
         if not b or not c:
             continue
         floor = b * (1.0 - args.max_regression)
@@ -262,8 +264,8 @@ def main():
             print("FAIL: portfolio gate matched no end-to-end entries")
             ok = False
 
-    if args.require_synthesis_counts:
-        synth = cur.get("microbench", {}).get("synthesis_partition", {})
+    synth = cur_micro.get("synthesis_partition")
+    if synth is not None:
         cold, warm, ref = (synth.get(k) for k in ("cold", "warm",
                                                   "reference"))
         if not all(isinstance(m, dict) for m in (cold, warm, ref)):
