@@ -9,6 +9,7 @@
 #include "core/Resource.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace pathinv;
 
@@ -66,7 +67,11 @@ void Simplex::addScaledRow(Row &Dst, const Row &Src, const Rational &Factor,
       ++S;
     }
   }
-  Dst.swap(Out);
+  // Moved back into Dst's own storage, not swapped: a swap would hand Dst
+  // the scratch buffer, whose capacity only ever grows, and buffers passed
+  // from row to row that way leave every row as large as the largest merge.
+  Dst.assign(std::make_move_iterator(Out.begin()),
+             std::make_move_iterator(Out.end()));
 }
 
 void Simplex::addConstraint(
@@ -298,7 +303,10 @@ void Simplex::updateNonbasic(int Var, const DeltaRational &Value) {
 void Simplex::pivot(int Basic, int Nonbasic) {
   ++NumPivots;
   // Nonbasic's slot is empty (it is not basic) and receives its new row;
-  // Basic's row is cleared once that row is built.
+  // Basic's row is released once that row is built. Releasing, not
+  // clearing: a nonbasic slot that kept its capacity would hold the
+  // largest row it ever had, and a long-lived tableau would keep the peak
+  // row size of every variable alive at once.
   Row &OldRow = Rows[Basic];
   Row &NewRow = Rows[Nonbasic];
   Rational PivotCoeff = findEntry(OldRow, Nonbasic)->second;
@@ -320,7 +328,7 @@ void Simplex::pivot(int Basic, int Nonbasic) {
   }
   if (!BasicPlaced)
     NewRow.emplace_back(Basic, PivotCoeff.inverse());
-  OldRow.clear();
+  Row().swap(OldRow);
   Vars[Basic].Basic = false;
 
   // Substitute into every other row that mentions Nonbasic.
