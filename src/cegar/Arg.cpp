@@ -8,7 +8,7 @@
 
 #include "core/Resource.h"
 #include "smt/QuantInst.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/InvariantMap.h"
 
 #include <algorithm>
@@ -105,7 +105,7 @@ std::string Arg::verifyInvariants() const {
 //===----------------------------------------------------------------------===//
 
 ReachEngine::ReachEngine(const Program &P, const Precision &Pi,
-                         SmtSolver &Solver, const ReachOptions &Opts)
+                         smt::SolverContext &Solver, const ReachOptions &Opts)
     : P(P), TM(P.termManager()), Pi(Pi), Solver(Solver), Opts(Opts),
       Ctx(TM), ExpandedAt(P.numLocations()), CoveredAt(P.numLocations()) {
   ArgNode Root;
@@ -335,10 +335,8 @@ void ReachEngine::rotateCovers(int NewCoverer) {
 
 ArgRunResult ReachEngine::run() {
   ArgRunResult Result;
-  // The budget is per resumption, mirroring the restart engine's per-wave
-  // semantics: the same --max-nodes value admits the same amount of work
-  // per reachability phase under either engine (the ARG engine just needs
-  // far less of it after the first phase).
+  // The budget is per resumption: --max-nodes bounds the work of each
+  // reachability phase between two refinements, not the whole run.
   uint64_t ExpandedAtEntry = Stats.NodesExpanded;
   while (!Worklist.empty()) {
     if (Stats.NodesExpanded - ExpandedAtEntry >= Opts.MaxNodes) {
@@ -534,8 +532,8 @@ void ReachEngine::applyRefinement(const ArgRunResult &R) {
     refreshCovers();
   }
 
-  // Every expanded node that survived without relabelling is work the
-  // restart engine would redo from scratch.
+  // Every expanded node that survived without relabelling is work a
+  // rebuild from scratch would redo.
   uint64_t Relabelled = Stats.NodesLabelled - LabelsBefore;
   uint64_t ExpandedLive = 0;
   for (const ArgNode &N : Graph.Nodes)

@@ -5,14 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Lazy-abstraction abstract reachability: a *persistent* abstract
-/// reachability graph (ARG) over cartesian predicate abstraction, kept
-/// alive across refinements, with graph-wide covering and subtree-scoped
-/// refinement.
+/// The abstract reachability phase of the CEGAR loop (Section 4.1), as
+/// lazy abstraction: a *persistent* abstract reachability graph (ARG) over
+/// cartesian predicate abstraction, kept alive across refinements, with
+/// graph-wide covering and subtree-scoped refinement. It is the loop's
+/// only reachability engine.
 ///
-/// Where the legacy engine (cegar/AbstractReach.h) rebuilds its tree from
-/// scratch on every refinement, the ReachEngine here retains every node
-/// the new predicates cannot invalidate:
+/// A node carries a location and the set of tracked literals (predicates
+/// or their negations) that hold there; its label is computed by
+/// entailment queries with quantifier instantiation, so universally
+/// quantified predicates from path invariants participate. Rather than
+/// rebuilding the graph on every refinement, the ReachEngine retains
+/// every node the new predicates cannot invalidate:
 ///
 ///  * Nodes are created as unlabelled *shells* when their parent expands;
 ///    processing a shell checks the incoming edge's abstract feasibility
@@ -51,6 +55,8 @@
 /// learned clauses, and theory lemmas asserted while exploring wave N are
 /// still there in wave N+k. (The companion learned-clause purge in the
 /// SAT core keeps that long-lived context's clause database bounded.)
+/// Quantified or store-carrying queries, which that context cannot take
+/// as assertions, go to the job's context as one-shot formula checks.
 ///
 /// Soundness sketch: labels are over-approximations by construction (each
 /// literal is entailed by the node's incoming concrete post-image), and a
@@ -66,7 +72,6 @@
 #ifndef PATHINV_CEGAR_ARG_H
 #define PATHINV_CEGAR_ARG_H
 
-#include "cegar/AbstractReach.h"
 #include "cegar/PredicateMap.h"
 #include "program/PathFormula.h"
 #include "smt/SolverContext.h"
@@ -78,8 +83,13 @@
 
 namespace pathinv {
 
-class SmtSolver;
 struct InvariantMap;
+
+/// Limits for abstract reachability.
+struct ReachOptions {
+  /// Node expansions allowed per ReachEngine::run() resumption.
+  uint64_t MaxNodes = 50000;
+};
 
 /// One node of the abstract reachability graph.
 struct ArgNode {
@@ -194,8 +204,8 @@ struct ArgStats {
   uint64_t NodesPruned = 0;
   uint64_t NodesReused = 0;       ///< Expanded nodes surviving a refinement
                                   ///< without relabelling (summed over
-                                  ///< refinements) — work a restart would
-                                  ///< redo from scratch.
+                                  ///< refinements) — work a rebuild from
+                                  ///< scratch would redo.
   uint64_t Reconciliations = 0;   ///< Stale paths refuted by replay outside
                                   ///< a refinement.
   uint64_t InfeasibleEdges = 0;
@@ -224,10 +234,11 @@ struct ArgRunResult {
 class ReachEngine {
 public:
   /// \p Pi is read on every labelling, so refinements that grow it are
-  /// visible to nodes created afterwards. \p Solver serves quantified or
-  /// store-carrying queries the incremental context cannot take.
-  ReachEngine(const Program &P, const Precision &Pi, SmtSolver &Solver,
-              const ReachOptions &Opts = {});
+  /// visible to nodes created afterwards. \p Solver, the job's context,
+  /// serves quantified or store-carrying queries (one-shot checks) that
+  /// the engine's own incremental context cannot take.
+  ReachEngine(const Program &P, const Precision &Pi,
+              smt::SolverContext &Solver, const ReachOptions &Opts = {});
 
   /// Resumes exploration from the current frontier.
   ArgRunResult run();
@@ -313,7 +324,7 @@ private:
   const Program &P;
   TermManager &TM;
   const Precision &Pi;
-  SmtSolver &Solver;
+  smt::SolverContext &Solver;
   ReachOptions Opts;
   /// Long-lived incremental context: survives every refinement, so
   /// per-transition encodings and everything learned while exploring
@@ -321,9 +332,9 @@ private:
   smt::SolverContext Ctx;
   Arg Graph;
   /// Depth-ordered (shallowest first, then creation order): resumed
-  /// exploration keeps the restart engine's BFS property that a reported
-  /// counterexample is a shortest abstract error path, so the refiner
-  /// sees the same easy path programs a fresh re-exploration would find.
+  /// exploration keeps the BFS property that a reported counterexample is
+  /// a shortest abstract error path, so the refiner sees the same easy
+  /// path programs a fresh re-exploration would find.
   std::priority_queue<std::pair<int, int>, std::vector<std::pair<int, int>>,
                       std::greater<std::pair<int, int>>>
       Worklist;

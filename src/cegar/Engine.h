@@ -10,11 +10,9 @@
 /// concrete replay of real bugs), and abstraction refinement through one
 /// of the pluggable strategies. Iterates until proof, bug, or budget.
 ///
-/// Two reachability backends (ReachOptions::Mode): the default drives the
-/// persistent abstract reachability graph of cegar/Arg.h — nodes survive
-/// refinements, refinement prunes only the pivot subtree, and covering is
-/// graph-wide — while ReachMode::Restart keeps the legacy
-/// restart-the-world tree as a differential oracle for one release.
+/// Reachability runs on the persistent abstract reachability graph of
+/// cegar/Arg.h: nodes survive refinements, refinement prunes only the
+/// pivot subtree, and covering is graph-wide.
 ///
 /// EngineOptions/EngineStats/EngineResult live in core/Engine.h, shared
 /// with the PDR backend; this header adds the CEGAR implementation of the
@@ -35,7 +33,8 @@ namespace pathinv {
 /// a slice-paused job resumes mid-refinement-loop.
 class CegarEngine final : public VerificationEngine {
 public:
-  CegarEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts);
+  CegarEngine(const Program &P, smt::SolverContext &Solver,
+              const EngineOptions &Opts);
   ~CegarEngine() override;
 
   const char *name() const override { return "cegar"; }
@@ -50,7 +49,7 @@ private:
 /// ResourceController built from Opts.Limits: Safe (error location
 /// unreachable), Unsafe (with witness), or Unknown (budgets exhausted /
 /// refinement stuck).
-EngineResult verify(const Program &P, SmtSolver &Solver,
+EngineResult verify(const Program &P, smt::SolverContext &Solver,
                     const EngineOptions &Opts = {});
 
 } // namespace pathinv

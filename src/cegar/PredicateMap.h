@@ -99,8 +99,8 @@ private:
   std::map<LocId, TermSet> Scoped; ///< Tracked only at their location.
 };
 
-/// Historical name: the precision grew out of the plain location ->
-/// predicate-set map of the restart-the-world engine.
+/// Historical name: the precision grew out of a plain location ->
+/// predicate-set map.
 using PredicateMap = Precision;
 
 } // namespace pathinv

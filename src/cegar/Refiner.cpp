@@ -8,7 +8,7 @@
 
 #include "pathprog/PathProgram.h"
 #include "program/CutSet.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 using namespace pathinv;
 
@@ -162,7 +162,7 @@ void distributeInvariants(const Program &P, const PathProgram &PP,
 } // namespace
 
 RefineResult pathinv::refine(const Program &P, const Path &Cex,
-                             PredicateMap &Pi, SmtSolver &Solver,
+                             PredicateMap &Pi, smt::SolverContext &Solver,
                              RefinerKind Kind, const PathInvOptions &Opts) {
   if (Kind == RefinerKind::PathFormula)
     return refineWithWpChain(P, Cex, Pi);

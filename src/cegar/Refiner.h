@@ -35,7 +35,9 @@
 
 namespace pathinv {
 
-class SmtSolver;
+namespace smt {
+class SolverContext;
+} // namespace smt
 
 /// What a refinement step produced.
 struct RefineResult {
@@ -67,7 +69,7 @@ enum class RefinerKind : uint8_t {
 
 /// Refines \p Pi to eliminate the infeasible error path \p Cex of \p P.
 RefineResult refine(const Program &P, const Path &Cex, PredicateMap &Pi,
-                    SmtSolver &Solver, RefinerKind Kind,
+                    smt::SolverContext &Solver, RefinerKind Kind,
                     const PathInvOptions &Opts = {});
 
 /// Computes the weakest-precondition chain of \p Cex (wp of `false`

@@ -45,8 +45,8 @@ bool pathinv::parseEngineKind(const std::string &Name, EngineKind &Out) {
 }
 
 std::unique_ptr<VerificationEngine>
-pathinv::makeEngine(EngineKind Kind, const Program &P, SmtSolver &Solver,
-                    const EngineOptions &Opts) {
+pathinv::makeEngine(EngineKind Kind, const Program &P,
+                    smt::SolverContext &Solver, const EngineOptions &Opts) {
   switch (Kind) {
   case EngineKind::Cegar:
     return std::make_unique<CegarEngine>(P, Solver, Opts);
@@ -83,7 +83,7 @@ struct Lane {
 /// race — it runs once, unsliced, under its own controller, instead of
 /// twice at half speed inside two slices. \returns true when it proved
 /// Safe (with \p Out filled in).
-bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
+bool runWholeProgramProbe(const Program &P, smt::SolverContext &Solver,
                           const EngineOptions &Opts, ResourceController &RC,
                           EngineResult &Out) {
   if (Opts.Refiner == RefinerKind::PathFormula)
@@ -130,7 +130,7 @@ bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
 /// second rounds the shared whole-program synthesis probe runs once (see
 /// runWholeProgramProbe) — after the fine-grained opening round has
 /// already caught trivially Safe and quickly refutable programs.
-EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
+EngineResult runPortfolio(const Program &P, smt::SolverContext &Solver,
                           const EngineOptions &Opts) {
   TermManager &TM = P.termManager();
   auto Probe = [&TM]() -> uint64_t {
@@ -275,7 +275,7 @@ EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
 
 } // namespace
 
-EngineResult pathinv::runEngine(const Program &P, SmtSolver &Solver,
+EngineResult pathinv::runEngine(const Program &P, smt::SolverContext &Solver,
                                 const EngineOptions &Opts) {
   switch (Opts.Engine) {
   case EngineKind::Cegar:

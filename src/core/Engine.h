@@ -27,7 +27,7 @@
 #ifndef PATHINV_CORE_ENGINE_H
 #define PATHINV_CORE_ENGINE_H
 
-#include "cegar/AbstractReach.h"
+#include "cegar/Arg.h"
 #include "cegar/Refiner.h"
 #include "core/Resource.h"
 #include "interp/Interpreter.h"
@@ -102,7 +102,7 @@ struct EngineStats {
   uint64_t ModelFilteredQueries = 0;
   // ARG engine only: incremental reuse vs. fresh work at the engine level.
   /// Expanded nodes retained across refinements (summed per refinement) —
-  /// exploration the restart engine would redo.
+  /// exploration a rebuild from scratch would redo.
   uint64_t NodesReused = 0;
   /// Nodes removed by subtree-scoped pruning (refinements and stale-path
   /// reconciliations).
@@ -122,7 +122,7 @@ struct EngineStats {
   uint64_t RelabelsBatched = 0;
   // ARG engine only: the run-lifetime solver context behind reachability
   // (its checks, and the learned-clause garbage collection keeping it
-  // bounded). The facade solver's stats live in Verifier::solverStats().
+  // bounded). The job context's stats live in Verifier::solverStats().
   uint64_t ReachContextChecks = 0;
   uint64_t ReachLearnedPurges = 0;
   uint64_t ReachClausesPurged = 0;
@@ -160,7 +160,8 @@ struct EngineStats {
   /// more general clauses block more states).
   uint64_t PdrGenDroppedLits = 0;
   /// Incremental frame queries (assumption batches on the persistent
-  /// context) vs. one-shot facade queries (store-carrying transitions).
+  /// frame context) vs. one-shot formula checks on the job's context
+  /// (store-carrying transitions; the name predates the one solver API).
   uint64_t PdrFrameQueries = 0;
   uint64_t PdrFacadeQueries = 0;
   /// Abstract counterexample candidates reaching level 0 (each triggers a
@@ -232,14 +233,14 @@ inline void finalizeEngineResult(EngineResult &Result,
 /// Constructs the backend \p Kind (Cegar or Pdr; Portfolio is a driver,
 /// not a backend — runEngine handles it) bound to \p P / \p Solver.
 std::unique_ptr<VerificationEngine>
-makeEngine(EngineKind Kind, const Program &P, SmtSolver &Solver,
+makeEngine(EngineKind Kind, const Program &P, smt::SolverContext &Solver,
            const EngineOptions &Opts);
 
 /// Verifies \p P with the backend Opts.Engine selects, installing a
 /// ResourceController per job (per lane in portfolio mode) and
 /// finalizing stats/reasons. This is the single entry point the CLI,
 /// bench harness, and tests share.
-EngineResult runEngine(const Program &P, SmtSolver &Solver,
+EngineResult runEngine(const Program &P, smt::SolverContext &Solver,
                        const EngineOptions &Opts = {});
 
 } // namespace pathinv

@@ -7,13 +7,14 @@
 #include "core/Verifier.h"
 
 #include "core/Engine.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 using namespace pathinv;
 
 Verifier::Verifier(EngineOptions Opts)
     : TM(std::make_unique<TermManager>()),
-      Solver(std::make_unique<SmtSolver>(*TM)), Opts(std::move(Opts)) {}
+      Solver(std::make_unique<smt::SolverContext>(*TM)),
+      Opts(std::move(Opts)) {}
 
 Verifier::~Verifier() = default;
 
@@ -21,17 +22,14 @@ Expected<Program> Verifier::loadSource(std::string_view PilSource) {
   return loadProgram(*TM, PilSource);
 }
 
-smt::SolverContext &Verifier::solverContext() { return Solver->context(); }
-
 Verifier::SolverLayerStats Verifier::solverStats() const {
   SolverLayerStats S;
-  S.SmtQueries = Solver->numQueries();
-  S.SmtCacheHits = Solver->numCacheHits();
-  smt::ContextStats C = Solver->context().stats();
+  smt::ContextStats C = Solver->stats();
+  S.SmtQueries = C.FormulaChecks;
   S.ContextChecks = C.Checks;
   S.ConjunctionChecks = C.ConjunctionChecks;
   S.LazyChecks = C.LazyChecks;
-  S.TheoryChecks = Solver->numTheoryChecks();
+  S.TheoryChecks = C.TheoryChecks;
   S.Pushes = C.Pushes;
   S.Pops = C.Pops;
   S.BaseReuses = C.BaseReuses;
@@ -53,8 +51,7 @@ Verifier::SolverLayerStats Verifier::solverStats() const {
 std::string pathinv::formatSolverStats(const Verifier::SolverLayerStats &S) {
   std::string Out;
   Out += "solver layer:\n";
-  Out += "  facade queries:     " + std::to_string(S.SmtQueries) +
-         " (cache hits: " + std::to_string(S.SmtCacheHits) + ")\n";
+  Out += "  one-shot checks:    " + std::to_string(S.SmtQueries) + "\n";
   Out += "  context checks:     " + std::to_string(S.ContextChecks) +
          " (conjunction: " + std::to_string(S.ConjunctionChecks) +
          ", lazy: " + std::to_string(S.LazyChecks) + ")\n";
@@ -107,8 +104,8 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
     Out += "\n  unknown reason:     " + R.UnknownReason;
   Out += "\n  refinements:        " + std::to_string(R.Stats.Refinements);
   Out += "\n  nodes expanded:     " + std::to_string(R.Stats.NodesExpanded);
-  // The ARG engine's reuse/covering/context counters; the restart engine
-  // has no persistent graph, so the lines would be meaningless zeros.
+  // The ARG's reuse/covering/context counters; a PDR-only run has no
+  // graph, so the lines would be meaningless zeros.
   if (R.Stats.ReachContextChecks != 0 || R.Stats.CoverChecks != 0 ||
       R.Stats.NodesReused != 0 || R.Stats.NodesPruned != 0) {
     Out += "\n  nodes reused:       " + std::to_string(R.Stats.NodesReused) +
@@ -157,7 +154,7 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
            std::to_string(R.Stats.PdrGenDroppedLits) + ")";
     Out += "\n  pdr queries:        " +
            std::to_string(R.Stats.PdrFrameQueries) + " frame, " +
-           std::to_string(R.Stats.PdrFacadeQueries) + " facade";
+           std::to_string(R.Stats.PdrFacadeQueries) + " one-shot";
   }
   // Resource governance: what the run actually spent against its budgets.
   // Printed even on exhaustion — these are the partial stats the resource

@@ -8,6 +8,11 @@
 /// The library's front door: parse a PIL procedure, lower it to a
 /// transition system, and run the path-invariant CEGAR engine.
 ///
+/// A Verifier owns the term manager and the job's smt::SolverContext, the
+/// one solver API: the engines, synthesis validation and certificate
+/// checks all take that context, and issue their one-shot queries through
+/// SolverContext::checkFormula.
+///
 /// Minimal usage:
 /// \code
 ///   pathinv::Verifier V;
@@ -28,13 +33,12 @@
 
 namespace pathinv {
 
-class SmtSolver;
 namespace smt {
 class SolverContext;
-}
+} // namespace smt
 
-/// One verification context: owns the term manager and solver state,
-/// which are shared (and their caches kept warm) across queries.
+/// One verification context: owns the term manager and the job's solver
+/// context, which are shared (and their caches kept warm) across queries.
 class Verifier {
 public:
   explicit Verifier(EngineOptions Opts = {});
@@ -53,22 +57,24 @@ public:
   Expected<Program> loadSource(std::string_view PilSource);
 
   TermManager &termManager() { return *TM; }
-  SmtSolver &solver() { return *Solver; }
-  /// The incremental context behind solver(): push/pop scopes, persistent
-  /// assertions, assumption-based checks (smt/SolverContext.h). Assertions
-  /// made here are honored (and cache-keyed) by the one-shot façade
-  /// queries routed through solver(); the engine's ground reachability
-  /// and path-feasibility batches run on their own private contexts and
-  /// do not see them.
-  smt::SolverContext &solverContext();
+  /// The job's solver context (smt/SolverContext.h): push/pop scopes,
+  /// persistent assertions, assumption-based checks, and the one-shot
+  /// checkFormula() the engines, the synthesis validation and the
+  /// certificate checker use. Assertions made here are honored by those
+  /// one-shot checks; the engine's ground reachability and
+  /// path-feasibility batches run on their own private contexts and do
+  /// not see them.
+  smt::SolverContext &solver() { return *Solver; }
   const EngineOptions &options() const { return Opts; }
   EngineOptions &options() { return Opts; }
 
   /// Structured statistics of the solver layer (the engine layer's stats
   /// live in EngineResult::Stats).
   struct SolverLayerStats {
-    // Façade (one-shot queries).
+    /// One-shot checkFormula() calls on the context.
     uint64_t SmtQueries = 0;
+    /// Always 0: the one-shot checks keep no result memo. The field stays
+    /// for readers of the per-job counter records.
     uint64_t SmtCacheHits = 0;
     // Context layer.
     uint64_t ContextChecks = 0;
@@ -102,7 +108,7 @@ public:
 
 private:
   std::unique_ptr<TermManager> TM;
-  std::unique_ptr<SmtSolver> Solver;
+  std::unique_ptr<smt::SolverContext> Solver;
   EngineOptions Opts;
 };
 

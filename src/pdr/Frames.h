@@ -126,7 +126,8 @@ const Term *cubeClause(TermManager &TM, const Cube &C);
 /// \returns the number of violations (0 = well-formed). The PDR engine
 /// asserts this in Debug builds before reporting a frame-based proof;
 /// tests call it directly.
-unsigned verifyFrames(const Program &P, SmtSolver &Solver, const Frames &F);
+unsigned verifyFrames(const Program &P, smt::SolverContext &Solver,
+                      const Frames &F);
 
 } // namespace pdr
 } // namespace pathinv

@@ -10,7 +10,7 @@
 #include "pdr/Frames.h"
 #include "program/PathFormula.h"
 #include "smt/FrameQuery.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "support/BigInt.h"
 #include "synth/PathInvariants.h"
 
@@ -33,11 +33,11 @@ enum class Step : uint8_t { Ok, Stop };
 
 /// The whole engine state, persistent across run() calls: frames, the
 /// obligation arena + queue, the atom pool, the two solver paths
-/// (incremental frame-query context and the one-shot facade for
-/// store-carrying relations), and the CEGAR-shared precision that grows
-/// the pool on refinement.
+/// (incremental frame-query context, and one-shot checks on the job's
+/// context for store-carrying relations), and the CEGAR-shared precision
+/// that grows the pool on refinement.
 struct PdrEngine::Impl {
-  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts)
+  Impl(const Program &P, smt::SolverContext &Solver, const EngineOptions &Opts)
       : P(P), Solver(Solver), Opts(Opts), TM(P.termManager()),
         FQ(TM), F(P), Incoming(static_cast<size_t>(P.numLocations())) {
     for (int T = 0; T < P.numTransitions(); ++T)
@@ -51,7 +51,7 @@ struct PdrEngine::Impl {
   }
 
   const Program &P;
-  SmtSolver &Solver;
+  smt::SolverContext &Solver;
   EngineOptions Opts;
   TermManager &TM;
   smt::FrameQueryContext FQ;
@@ -174,6 +174,20 @@ struct PdrEngine::Impl {
     return Step::Stop;
   }
 
+  /// A frame query whose transition relation \p Rel carries array
+  /// stores: Base ∧ Rel ∧ C' as one whole formula, so array-write
+  /// elimination sees all of it. The one-shot check returns no core over
+  /// the cube's literals, so a refutation here cannot generalize.
+  smt::CheckResult storeQuery(std::vector<const Term *> Base, const Term *Rel,
+                              const Cube &C) {
+    ++Result.Stats.PdrFacadeQueries;
+    Base.push_back(Rel);
+    for (const Term *L : C)
+      Base.push_back(primeLit(L));
+    return Solver.checkFormula(Base.size() == 1 ? Base.front()
+                                                : TM.mkAnd(Base));
+  }
+
   Step descend(int NodeIdx, size_t Level, int TransIdx, const smt::Model &M);
   Step processNext();
   Step handleCexCandidate(int NodeIdx);
@@ -240,23 +254,16 @@ Step PdrEngine::Impl::processNext() {
     if (T.From == Loc)
       Base.push_back(cubeClause(TM, C)); // Relative induction: F ∧ ¬c.
     if (containsStore(T.Rel)) {
-      // Store-carrying relation: route through the one-shot facade
-      // (whole-formula array-write elimination). No assumption core, so
-      // this transition forfeits generalization for the whole cube.
-      ++Result.Stats.PdrFacadeQueries;
-      std::vector<const Term *> All = Base;
-      All.push_back(T.Rel);
-      for (const Term *L : C)
-        All.push_back(primeLit(L));
-      SmtSolver::Status S =
-          Solver.checkSat(All.size() == 1 ? All.front() : TM.mkAnd(All));
-      if (S == SmtSolver::Status::Unknown)
+      // No assumption core: this transition forfeits generalization for
+      // the whole cube.
+      smt::CheckResult R = storeQuery(std::move(Base), T.Rel, C);
+      if (R.isUnknown())
         return unknownQuery();
-      if (S == SmtSolver::Status::Unsat) {
+      if (R.isUnsat()) {
         NoGen = true;
         continue;
       }
-      return descend(NodeIdx, Level, TIdx, smt::Model(Solver.model()));
+      return descend(NodeIdx, Level, TIdx, R.model());
     }
     ++Result.Stats.PdrFrameQueries;
     Base.push_back(T.Rel);
@@ -299,18 +306,18 @@ Step PdrEngine::Impl::handleCexCandidate(int NodeIdx) {
   ++Result.Stats.PdrCexCandidates;
   Path Cex = pathFromNode(NodeIdx);
   PathFormula PF = buildPathFormula(P, Cex);
-  SmtSolver::Status S = Solver.checkSat(PF.formula(TM));
-  if (S == SmtSolver::Status::Unknown) {
+  smt::CheckResult R = Solver.checkFormula(PF.formula(TM));
+  if (R.isUnknown()) {
     Result.Note = resourceExhausted()
                       ? "resources exhausted during counterexample analysis"
                       : "counterexample analysis inconclusive";
     return Step::Stop;
   }
-  if (S == SmtSolver::Status::Sat) {
+  if (R.isSat()) {
     Result.Verdict = EngineResult::Verdict::Unsafe;
     Result.Witness = Cex;
     if (Opts.ValidateWitness) {
-      Result.Replay = replayFromModel(P, Cex, Solver.model());
+      Result.Replay = replayFromModel(P, Cex, R.model().values());
       Result.WitnessReplayed = Result.Replay.Feasible;
     }
     return Step::Stop;
@@ -416,27 +423,18 @@ Step PdrEngine::Impl::badCheck(bool &Found) {
       continue; // Reachability of error itself is the question.
     std::vector<const Term *> Base;
     F.collectClauses(TM, K, T.From, Base);
-    Base.push_back(T.Rel);
-    smt::Model M;
-    if (containsStore(T.Rel)) {
-      ++Result.Stats.PdrFacadeQueries;
-      SmtSolver::Status S =
-          Solver.checkSat(Base.size() == 1 ? Base.front() : TM.mkAnd(Base));
-      if (S == SmtSolver::Status::Unknown)
-        return unknownQuery();
-      if (S == SmtSolver::Status::Unsat)
-        continue;
-      M = smt::Model(Solver.model());
-    } else {
+    smt::CheckResult R = [&] {
+      if (containsStore(T.Rel))
+        return storeQuery(std::move(Base), T.Rel, {});
       ++Result.Stats.PdrFrameQueries;
-      smt::CheckResult R = FQ.query(Base, {});
-      if (R.isUnknown())
-        return unknownQuery();
-      if (R.isUnsat())
-        continue;
-      M = R.model();
-    }
-    Nodes.push_back({T.From, cubeFromModel(M), -1, TIdx});
+      Base.push_back(T.Rel);
+      return FQ.query(Base, {});
+    }();
+    if (R.isUnknown())
+      return unknownQuery();
+    if (R.isUnsat())
+      continue;
+    Nodes.push_back({T.From, cubeFromModel(R.model()), -1, TIdx});
     enqueue(K, static_cast<int>(Nodes.size()) - 1);
     Found = true;
     return Step::Ok;
@@ -460,34 +458,22 @@ Step PdrEngine::Impl::pushPhase() {
           F.collectClauses(TM, Level, T.From, Base);
           if (T.From == Loc)
             Base.push_back(cubeClause(TM, C));
-          if (containsStore(T.Rel)) {
-            ++Result.Stats.PdrFacadeQueries;
-            std::vector<const Term *> All = Base;
-            All.push_back(T.Rel);
-            for (const Term *L : C)
-              All.push_back(primeLit(L));
-            SmtSolver::Status S = Solver.checkSat(
-                All.size() == 1 ? All.front() : TM.mkAnd(All));
-            if (S == SmtSolver::Status::Unknown)
-              return unknownQuery();
-            if (S == SmtSolver::Status::Sat) {
-              Inductive = false;
-              break;
-            }
-          } else {
+          smt::CheckResult R = [&] {
+            if (containsStore(T.Rel))
+              return storeQuery(std::move(Base), T.Rel, C);
             ++Result.Stats.PdrFrameQueries;
             Base.push_back(T.Rel);
             std::vector<const Term *> Assumptions;
             Assumptions.reserve(C.size());
             for (const Term *L : C)
               Assumptions.push_back(primeLit(L));
-            smt::CheckResult R = FQ.query(Base, Assumptions);
-            if (R.isUnknown())
-              return unknownQuery();
-            if (R.isSat()) {
-              Inductive = false;
-              break;
-            }
+            return FQ.query(Base, Assumptions);
+          }();
+          if (R.isUnknown())
+            return unknownQuery();
+          if (R.isSat()) {
+            Inductive = false;
+            break;
           }
         }
         if (Inductive) {
@@ -560,7 +546,7 @@ void PdrEngine::Impl::runLoop() {
   }
 }
 
-PdrEngine::PdrEngine(const Program &P, SmtSolver &Solver,
+PdrEngine::PdrEngine(const Program &P, smt::SolverContext &Solver,
                      const EngineOptions &Opts)
     : I(std::make_unique<Impl>(P, Solver, Opts)) {}
 
@@ -588,7 +574,7 @@ EngineResult PdrEngine::run() {
   return I->Result;
 }
 
-EngineResult pathinv::verifyPdr(const Program &P, SmtSolver &Solver,
+EngineResult pathinv::verifyPdr(const Program &P, smt::SolverContext &Solver,
                                 const EngineOptions &Opts) {
   ResourceController RC(Opts.Limits);
   TermManager &TM = P.termManager();

@@ -40,7 +40,8 @@ namespace pathinv {
 /// job resumes where it stopped.
 class PdrEngine final : public VerificationEngine {
 public:
-  PdrEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts);
+  PdrEngine(const Program &P, smt::SolverContext &Solver,
+            const EngineOptions &Opts);
   ~PdrEngine() override;
 
   const char *name() const override { return "pdr"; }
@@ -54,7 +55,7 @@ private:
 /// Verifies \p P with the PDR engine under a fresh per-job
 /// ResourceController built from Opts.Limits (the PDR counterpart of
 /// pathinv::verify).
-EngineResult verifyPdr(const Program &P, SmtSolver &Solver,
+EngineResult verifyPdr(const Program &P, smt::SolverContext &Solver,
                        const EngineOptions &Opts = {});
 
 } // namespace pathinv

@@ -6,7 +6,7 @@
 
 #include "smt/QuantInst.h"
 
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 using namespace pathinv;
 
@@ -109,10 +109,10 @@ const Term *pathinv::instantiateQuantifiers(TermManager &TM, const Term *F,
   return Ground;
 }
 
-bool pathinv::entailsWithQuant(TermManager &TM, SmtSolver &Solver,
+bool pathinv::entailsWithQuant(TermManager &TM, smt::SolverContext &Solver,
                                const Term *Hyp, const Term *Concl) {
   const Term *Query = TM.mkAnd(Hyp, TM.mkNot(Concl));
   uint64_t LocalCounter = 0;
   const Term *Ground = instantiateQuantifiers(TM, Query, LocalCounter);
-  return Solver.isUnsat(Ground);
+  return Solver.checkFormula(Ground).isUnsat();
 }

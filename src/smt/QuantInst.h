@@ -33,7 +33,9 @@
 
 namespace pathinv {
 
-class SmtSolver;
+namespace smt {
+class SolverContext;
+} // namespace smt
 
 /// Rewrites \p F into a quantifier-free formula whose unsatisfiability
 /// implies the unsatisfiability of \p F. \p FreshCounter provides unique
@@ -43,12 +45,12 @@ const Term *instantiateQuantifiers(TermManager &TM, const Term *F,
 
 /// Sound entailment with quantifiers: returns true only if
 /// \p Hyp entails \p Concl. (May return false on entailments outside the
-/// array-property fragment.) Skolem names restart per query so identical
-/// queries produce identical ground formulas — keeping the SMT solver's
-/// memoization effective across the many repeated queries of predicate
-/// abstraction.
-bool entailsWithQuant(TermManager &TM, SmtSolver &Solver, const Term *Hyp,
-                      const Term *Concl);
+/// array-property fragment; Unknown counts as not entailed.) Skolem names
+/// restart per query so identical queries produce identical (interned)
+/// ground formulas, whose encodings the context has already cached across
+/// the many repeated queries of predicate abstraction.
+bool entailsWithQuant(TermManager &TM, smt::SolverContext &Solver,
+                      const Term *Hyp, const Term *Concl);
 
 } // namespace pathinv
 

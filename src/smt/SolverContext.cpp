@@ -6,6 +6,8 @@
 
 #include "smt/SolverContext.h"
 
+#include "smt/ArrayElim.h"
+
 #include <algorithm>
 
 using namespace pathinv;
@@ -176,6 +178,32 @@ SolverContext::checkSat(const std::vector<const Term *> &Assumptions) {
     if (Sat.numPurgedClauses() != Before)
       ++Stats.LearnedPurges;
   }
+  return R;
+}
+
+CheckResult SolverContext::checkFormula(const Term *F) {
+  ++Stats.FormulaChecks;
+  assert(!containsQuantifier(F) &&
+         "SMT core is quantifier-free; instantiate quantifiers first");
+  // Array-write elimination resolves aliasing globally, so it runs on the
+  // whole formula before it is split into literals or clauses.
+  // containsStore is an O(1) flag.
+  if (containsStore(F)) {
+    Expected<const Term *> Reduced = eliminateArrayWrites(TM, F);
+    if (!Reduced)
+      return CheckResult::unknown(); // Outside the array fragment.
+    F = Reduced.get();
+  }
+  // Literal conjunctions ride the theory fast path as one batch of
+  // assumption literals: no scope churn in the theory base, and splits
+  // are served by the scoped branch-and-bound on the cached tableau.
+  std::vector<const Term *> Literals;
+  if (isLiteralConjunction(F, Literals))
+    return checkSat(Literals);
+  push();
+  assertTerm(F);
+  CheckResult R = checkSat();
+  pop();
   return R;
 }
 

@@ -156,6 +156,7 @@ private:
 /// Statistics of one context, structured per layer.
 struct ContextStats {
   uint64_t Checks = 0;            ///< checkSat() calls.
+  uint64_t FormulaChecks = 0;     ///< checkFormula() calls (one-shot).
   uint64_t ConjunctionChecks = 0; ///< Served by the theory fast path.
   uint64_t LazyChecks = 0;        ///< Full CDCL(T) loop.
   uint64_t TheoryChecks = 0;      ///< Conjunction-solver invocations.
@@ -213,9 +214,17 @@ public:
   CheckResult checkSat() { return checkSat({}); }
   CheckResult checkSat(const std::vector<const Term *> &Assumptions);
 
-  /// Order-sensitive hash of the live assertion stack. Two equal
-  /// fingerprints mean the same asserted state, so results of pure checks
-  /// may be cached keyed by (fingerprint, formula).
+  /// One-shot check of a whole quantifier-free formula \p F under the
+  /// live assertions; the asserted state is left as it was. Array writes
+  /// are eliminated on the whole formula first (Unknown when \p F falls
+  /// outside the supported array fragment). A literal conjunction is then
+  /// decided as one assumption batch on the theory fast path, anything
+  /// else in a push/assert/check/pop scope. Encodings, learned clauses and
+  /// theory lemmas persist across calls like those of any other check.
+  CheckResult checkFormula(const Term *F);
+
+  /// Order-sensitive hash of the live assertion stack: two equal
+  /// fingerprints mean the same asserted state.
   uint64_t assertionFingerprint() const { return Fingerprint; }
 
   /// Budget for deletable clauses (CDCL-learned clauses and theory

@@ -11,7 +11,7 @@
 #include "program/CutSet.h"
 #include "program/PathFormula.h"
 #include "smt/QuantInst.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 using namespace pathinv;
 
@@ -36,7 +36,7 @@ std::string InvariantMap::dump(const Program &P) const {
 
 InvariantCheckResult pathinv::checkInvariantMap(const Program &P,
                                                 const InvariantMap &Map,
-                                                SmtSolver &Solver) {
+                                                smt::SolverContext &Solver) {
   TermManager &TM = P.termManager();
   InvariantCheckResult Result;
 

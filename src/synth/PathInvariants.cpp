@@ -9,13 +9,13 @@
 #include "absint/Interval.h"
 #include "core/Resource.h"
 #include "program/CutSet.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/TemplateHeuristics.h"
 
 using namespace pathinv;
 
 PathInvResult pathinv::generatePathInvariants(const Program &P,
-                                              SmtSolver &Solver,
+                                              smt::SolverContext &Solver,
                                               const PathInvOptions &Opts) {
   TermManager &TM = P.termManager();
   PathInvResult Result;
@@ -72,7 +72,7 @@ PathInvResult pathinv::generatePathInvariants(const Program &P,
 }
 
 PathInvResult pathinv::generateIntervalInvariants(const Program &P,
-                                                  SmtSolver &Solver,
+                                                  smt::SolverContext &Solver,
                                                   bool Verify) {
   TermManager &TM = P.termManager();
   PathInvResult Result;

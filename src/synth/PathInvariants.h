@@ -57,13 +57,14 @@ struct PathInvResult {
 };
 
 /// Constraint-based backend (the paper's instantiation).
-PathInvResult generatePathInvariants(const Program &P, SmtSolver &Solver,
+PathInvResult generatePathInvariants(const Program &P,
+                                     smt::SolverContext &Solver,
                                      const PathInvOptions &Opts = {});
 
 /// Abstract-interpretation backend (interval domain): succeeds when the
 /// interval fixpoint proves the error location unreachable.
 PathInvResult generateIntervalInvariants(const Program &P,
-                                         SmtSolver &Solver,
+                                         smt::SolverContext &Solver,
                                          bool Verify = true);
 
 } // namespace pathinv

@@ -7,10 +7,9 @@
 /// \file
 /// The lazy-abstraction reachability engine: per-location precision
 /// scoping, graph-wide covering and forced covering, subtree-scoped
-/// refinement reuse (the ARG engine must expand strictly less than a
-/// restart re-exploration), ARG well-formedness invariants, and a
-/// differential check that all six paper programs keep their verdicts
-/// under both reachability engines.
+/// refinement reuse (node expansions pinned on the sequential-loops
+/// family), ARG well-formedness invariants, and the known verdicts of all
+/// six paper programs with replayed witnesses for the unsafe ones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +19,7 @@
 #include "core/Verifier.h"
 #include "lang/Lower.h"
 #include "logic/FormulaParser.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -78,7 +77,7 @@ TEST_F(PrecisionTest, ScopedPredicateSkipsOtherLocationsBatches) {
     TermManager TM2;
     auto P = loadProgram(TM2, Src);
     EXPECT_TRUE(P.hasValue());
-    SmtSolver Solver(TM2);
+    smt::SolverContext Solver(TM2);
     SortEnv Env2;
     Precision Pi;
     const Term *Pred = parseFormula(TM2, "x >= 1", Env2).get();
@@ -121,7 +120,7 @@ TEST_F(PrecisionTest, CoveringClosesLoopsAndInvariantsHold) {
   TermManager TM2;
   auto P = loadProgram(TM2, Src);
   ASSERT_TRUE(P.hasValue());
-  SmtSolver Solver(TM2);
+  smt::SolverContext Solver(TM2);
   SortEnv Env2;
   Precision Pi;
   Pi.addGlobal(parseFormula(TM2, "i >= 0", Env2).get());
@@ -162,7 +161,7 @@ TEST(RefinerAttributionTest, NewPredicatesLandOnPathLocations) {
       TM, "proc p(n) { var i; i = 0; while (i < 3) { i = i + 1; } "
           "assert(i == 3); }");
   ASSERT_TRUE(P.hasValue());
-  SmtSolver Solver(TM);
+  smt::SolverContext Solver(TM);
   Precision Pi;
   ReachEngine Reach(P.get(), Pi, Solver);
   ArgRunResult R = Reach.run();
@@ -187,35 +186,31 @@ TEST(RefinerAttributionTest, NewPredicatesLandOnPathLocations) {
 // Subtree-scoped refinement: reuse across refinements
 //===----------------------------------------------------------------------===//
 
+// Update deliberately when reachability changes: node expansions of the
+// sequential-loops family under the interval refiner. Every refinement
+// N+1 reuses the subgraph loops 1..N already built; rebuilding the graph
+// from scratch after each refinement expanded 4,288 nodes on 10 loops.
 TEST(ArgReuseTest, RefinementReusesUnaffectedSubtrees) {
-  std::string Src = testprogs::sequentialLoops(4);
-  auto runMode = [&](ReachMode Mode) {
+  struct Golden {
+    int Loops;
+    uint64_t NodesExpanded;
+    uint64_t Refinements;
+  };
+  for (const Golden &G : {Golden{4, 132, 12}, Golden{10, 336, 30}}) {
     EngineOptions Opts;
     Opts.Refiner = RefinerKind::PathInvariantIntervals;
-    Opts.Reach.Mode = Mode;
     Verifier V(Opts);
-    auto R = V.verifySource(Src);
-    EXPECT_TRUE(R.hasValue());
-    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
-    return R.get().Stats;
-  };
-  EngineStats ArgStats = runMode(ReachMode::Arg);
-  EngineStats RestartStats = runMode(ReachMode::Restart);
-
-  // Both engines refine repeatedly; the ARG engine must do strictly less
-  // reachability work — at least 2x fewer node expansions — because every
-  // refinement N+1 reuses the subgraph loops 1..N already built, instead
-  // of a fresh re-exploration.
-  EXPECT_GT(RestartStats.Refinements, 3u);
-  EXPECT_GE(RestartStats.NodesExpanded, 2 * ArgStats.NodesExpanded);
-  EXPECT_GT(ArgStats.NodesReused, 0u);
-  EXPECT_EQ(RestartStats.NodesReused, 0u);
+    auto R = V.verifySource(testprogs::sequentialLoops(G.Loops));
+    ASSERT_TRUE(R.hasValue()) << G.Loops;
+    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe) << G.Loops;
+    EXPECT_EQ(R.get().Stats.NodesExpanded, G.NodesExpanded) << G.Loops;
+    EXPECT_EQ(R.get().Stats.Refinements, G.Refinements) << G.Loops;
+    EXPECT_GT(R.get().Stats.NodesReused, 0u) << G.Loops;
+  }
 }
 
 TEST(ArgReuseTest, ForwardConvergesWithCoveringAndForcedCovers) {
-  EngineOptions Opts;
-  Opts.Reach.Mode = ReachMode::Arg;
-  Verifier V(Opts);
+  Verifier V;
   auto R = V.verifySource(testprogs::Forward);
   ASSERT_TRUE(R.hasValue());
   EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
@@ -258,7 +253,7 @@ TEST(CegarWorkTest, SynthesisHeavyJobsSpendPinnedWork) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: both engines agree on every paper program
+// Known answers: every paper program keeps its verdict
 //===----------------------------------------------------------------------===//
 
 struct ProgramCase {
@@ -267,7 +262,7 @@ struct ProgramCase {
   bool Safe;
 };
 
-TEST(ArgDifferentialTest, AllPaperProgramVerdictsMatchRestartEngine) {
+TEST(ArgDifferentialTest, AllPaperProgramVerdictsMatchKnownAnswers) {
   const ProgramCase Cases[] = {
       {"forward", testprogs::Forward, true},
       {"init_check", testprogs::InitCheck, true},
@@ -279,20 +274,13 @@ TEST(ArgDifferentialTest, AllPaperProgramVerdictsMatchRestartEngine) {
   for (const ProgramCase &C : Cases) {
     auto Want = C.Safe ? EngineResult::Verdict::Safe
                        : EngineResult::Verdict::Unsafe;
-    for (ReachMode Mode : {ReachMode::Arg, ReachMode::Restart}) {
-      EngineOptions Opts;
-      Opts.Reach.Mode = Mode;
-      Verifier V(Opts);
-      auto R = V.verifySource(C.Source);
-      ASSERT_TRUE(R.hasValue()) << C.Name;
-      EXPECT_EQ(R.get().Verdict, Want)
-          << C.Name << " under "
-          << (Mode == ReachMode::Arg ? "arg" : "restart");
-      // Unsafe verdicts must come with an independently replayed witness
-      // under both engines.
-      if (!C.Safe) {
-        EXPECT_TRUE(R.get().WitnessReplayed) << C.Name;
-      }
+    Verifier V;
+    auto R = V.verifySource(C.Source);
+    ASSERT_TRUE(R.hasValue()) << C.Name;
+    EXPECT_EQ(R.get().Verdict, Want) << C.Name;
+    // Unsafe verdicts must come with an independently replayed witness.
+    if (!C.Safe) {
+      EXPECT_TRUE(R.get().WitnessReplayed) << C.Name;
     }
   }
 }

@@ -15,7 +15,7 @@
 #include "TestPrograms.h"
 #include "core/Verifier.h"
 #include "pdr/Frames.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/InvariantMap.h"
 
 #include <gtest/gtest.h>
@@ -118,7 +118,7 @@ struct CounterCfa {
 
 TEST(PdrFramesTest, VerifyFramesAcceptsInductiveTrail) {
   CounterCfa C;
-  SmtSolver Solver(C.TM);
+  smt::SolverContext Solver(C.TM);
   Frames F(C.P);
   F.extend();
   // x >= 0 is inductive at the loop head: established by x:=0, preserved
@@ -129,7 +129,7 @@ TEST(PdrFramesTest, VerifyFramesAcceptsInductiveTrail) {
 
 TEST(PdrFramesTest, VerifyFramesRejectsNonInductiveClause) {
   CounterCfa C;
-  SmtSolver Solver(C.TM);
+  smt::SolverContext Solver(C.TM);
   Frames F(C.P);
   F.extend();
   // x <= 5 is established by x:=0 but not preserved by x:=x+1: the
@@ -141,7 +141,7 @@ TEST(PdrFramesTest, VerifyFramesRejectsNonInductiveClause) {
 
 TEST(PdrFramesTest, VerifyFramesRejectsEntryClause) {
   CounterCfa C;
-  SmtSolver Solver(C.TM);
+  smt::SolverContext Solver(C.TM);
   Frames F(C.P);
   // Entry's init frame is unconstrained: any clause there is ill-formed,
   // however plausible it looks.

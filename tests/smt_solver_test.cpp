@@ -7,13 +7,14 @@
 #include "logic/FormulaParser.h"
 #include "logic/TermPrinter.h"
 #include "smt/ArrayElim.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 using namespace pathinv;
+using Status = smt::CheckResult::Status;
 
 namespace {
 
@@ -25,13 +26,18 @@ protected:
     return F.get();
   }
 
-  bool isSat(const char *Text) {
-    return Solver.checkSat(parse(Text)) == SmtSolver::Status::Sat;
+  /// One-shot status of \p F on the fixture's context.
+  Status check(const Term *F) { return Solver.checkFormula(F).status(); }
+
+  bool isSat(const char *Text) { return check(parse(Text)) == Status::Sat; }
+
+  bool entails(const Term *A, const Term *B) {
+    return check(TM.mkAnd(A, TM.mkNot(B))) == Status::Unsat;
   }
 
   TermManager TM;
   SortEnv Env;
-  SmtSolver Solver{TM};
+  smt::SolverContext Solver{TM};
 };
 
 // --- Pure linear arithmetic ------------------------------------------------
@@ -86,8 +92,9 @@ TEST_F(SmtTest, BooleanStructure) {
 
 TEST_F(SmtTest, ModelIsAvailable) {
   const Term *F = parse("x + y = 10 && x - y = 4");
-  ASSERT_EQ(Solver.checkSat(F), SmtSolver::Status::Sat);
-  const auto &Model = Solver.model();
+  smt::CheckResult R = Solver.checkFormula(F);
+  ASSERT_TRUE(R.isSat());
+  const auto &Model = R.model().values();
   Rational X = Model.at(TM.mkVar("x", Sort::Int));
   Rational Y = Model.at(TM.mkVar("y", Sort::Int));
   EXPECT_EQ(X + Y, Rational(10));
@@ -132,7 +139,7 @@ TEST_F(SmtTest, InitcheckFirstCellFact) {
   SortEnv E;
   auto A0 = parseFormula(TM, "a1[0] = 0 && a1[i] != 0 && i = 0", E);
   ASSERT_TRUE(A0.hasValue());
-  EXPECT_EQ(Solver.checkSat(A0.get()), SmtSolver::Status::Unsat);
+  EXPECT_EQ(check(A0.get()), Status::Unsat);
 }
 
 TEST_F(SmtTest, StoreEliminationReadSameIndex) {
@@ -143,7 +150,7 @@ TEST_F(SmtTest, StoreEliminationReadSameIndex) {
   const Term *Def =
       TM.mkEq(B, TM.mkStore(A, I, TM.mkIntConst(5)));
   const Term *Bad = TM.mkNe(TM.mkSelect(B, I), TM.mkIntConst(5));
-  EXPECT_EQ(Solver.checkSat(TM.mkAnd(Def, Bad)), SmtSolver::Status::Unsat);
+  EXPECT_EQ(check(TM.mkAnd(Def, Bad)), Status::Unsat);
 }
 
 TEST_F(SmtTest, StoreEliminationReadOtherIndex) {
@@ -156,11 +163,11 @@ TEST_F(SmtTest, StoreEliminationReadOtherIndex) {
   const Term *F = TM.mkAnd(
       {Def, TM.mkNe(J, I),
        TM.mkNe(TM.mkSelect(B, J), TM.mkSelect(A, J))});
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
+  EXPECT_EQ(check(F), Status::Unsat);
   // Without j != i it is satisfiable (j may alias i).
   const Term *G = TM.mkAnd(
       {Def, TM.mkNe(TM.mkSelect(B, J), TM.mkSelect(A, J))});
-  EXPECT_EQ(Solver.checkSat(G), SmtSolver::Status::Sat);
+  EXPECT_EQ(check(G), Status::Sat);
 }
 
 TEST_F(SmtTest, StoreChain) {
@@ -175,14 +182,14 @@ TEST_F(SmtTest, StoreChain) {
       TM.mkEq(B, TM.mkStore(A, I, TM.mkIntConst(1))),
       TM.mkEq(C, TM.mkStore(B, J, TM.mkIntConst(2))));
   const Term *Sep = TM.mkNe(I, J);
-  EXPECT_EQ(Solver.checkSat(TM.mkAnd(
+  EXPECT_EQ(check(TM.mkAnd(
                 {Defs, Sep,
                  TM.mkNe(TM.mkSelect(C, I), TM.mkIntConst(1))})),
-            SmtSolver::Status::Unsat);
-  EXPECT_EQ(Solver.checkSat(TM.mkAnd(
+            Status::Unsat);
+  EXPECT_EQ(check(TM.mkAnd(
                 {Defs, Sep,
                  TM.mkNe(TM.mkSelect(C, J), TM.mkIntConst(2))})),
-            SmtSolver::Status::Unsat);
+            Status::Unsat);
 }
 
 TEST_F(SmtTest, ArrayAliasSubstitution) {
@@ -192,7 +199,7 @@ TEST_F(SmtTest, ArrayAliasSubstitution) {
   const Term *I = TM.mkVar("i", Sort::Int);
   const Term *F = TM.mkAnd(
       TM.mkEq(B, A), TM.mkNe(TM.mkSelect(B, I), TM.mkSelect(A, I)));
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
+  EXPECT_EQ(check(F), Status::Unsat);
 }
 
 // --- Entailment (the predicate-abstraction workhorse) ------------------------
@@ -214,9 +221,8 @@ TEST_F(SmtTest, ForcedEqualDisequalityIsUnsatInEveryOrder) {
     Reverse += (I ? " && " : "") + std::string(Conjuncts[6 - I]);
   }
   for (const std::string &Text : {Forward, Reverse}) {
-    SmtSolver Fresh{TM};
-    EXPECT_EQ(Fresh.checkSat(parse(Text.c_str())), SmtSolver::Status::Unsat)
-        << Text;
+    smt::SolverContext Fresh{TM};
+    EXPECT_TRUE(Fresh.checkFormula(parse(Text.c_str())).isUnsat()) << Text;
   }
   // The single-frame form, and a satisfiable neighbour: the refutation
   // must not fire when the sides can differ.
@@ -227,20 +233,11 @@ TEST_F(SmtTest, ForcedEqualDisequalityIsUnsatInEveryOrder) {
 }
 
 TEST_F(SmtTest, Entailment) {
-  EXPECT_TRUE(Solver.entails(parse("x = 2"), parse("x >= 1")));
-  EXPECT_FALSE(Solver.entails(parse("x >= 1"), parse("x = 2")));
-  EXPECT_TRUE(Solver.entails(parse("a + b = 3*i && i = n"),
-                             parse("a + b = 3*n")));
-  EXPECT_TRUE(Solver.entails(parse("false"), parse("x = 1")));
-  EXPECT_TRUE(Solver.entails(parse("x = 1"), parse("true")));
-}
-
-TEST_F(SmtTest, CacheCountsHits) {
-  const Term *F = parse("x <= 2 && x >= 3");
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
-  uint64_t Before = Solver.numCacheHits();
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
-  EXPECT_EQ(Solver.numCacheHits(), Before + 1);
+  EXPECT_TRUE(entails(parse("x = 2"), parse("x >= 1")));
+  EXPECT_FALSE(entails(parse("x >= 1"), parse("x = 2")));
+  EXPECT_TRUE(entails(parse("a + b = 3*i && i = n"), parse("a + b = 3*n")));
+  EXPECT_TRUE(entails(parse("false"), parse("x = 1")));
+  EXPECT_TRUE(entails(parse("x = 1"), parse("true")));
 }
 
 // --- Array write elimination pass in isolation -------------------------------

@@ -11,7 +11,7 @@
 #include "logic/TermPrinter.h"
 #include "pathprog/PathProgram.h"
 #include "smt/QuantInst.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/PathInvariants.h"
 #include "synth/TemplateHeuristics.h"
 
@@ -386,7 +386,7 @@ protected:
   }
 
   TermManager TM;
-  SmtSolver Solver{TM};
+  smt::SolverContext Solver{TM};
 };
 
 TEST_F(SynthFixture, ForwardWholeProgram) {
@@ -533,7 +533,7 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
     auto PE = loadProgram(LocalTM, GP.Source);
     ASSERT_TRUE(PE.hasValue()) << "seed " << Seed << ": " << GP.Source;
     Program P = PE.take();
-    SmtSolver LocalSolver{LocalTM};
+    smt::SolverContext LocalSolver{LocalTM};
     PathInvOptions On, Off;
     On.Synth.Learner = &Learner;
     On.Synth.MaxLpChecks = Budget;

@@ -20,10 +20,10 @@
 ///    simplex row-accumulate pattern, with an in-process differential
 ///    checksum.
 ///  * A refinement-reuse workload: a family of sequential loops forcing
-///    one refinement per loop, verified twice in-process — once on the
-///    persistent-ARG engine (subtree-scoped refinement) and once on the
-///    legacy restart engine — so the JSON carries a genuine node-expansion
-///    ratio and wall-time speedup between the two. Verdicts must agree.
+///    one refinement per loop, verified on the persistent-ARG engine
+///    (subtree-scoped refinement). The JSON carries its node expansions,
+///    refinements and reused nodes; the regression checker bounds the node
+///    count against the baseline. The verdict must be safe.
 ///  * A `synthesis_partition` microbenchmark: whole-program constraint
 ///    synthesis on PARTITION (the search hotspot of the paper programs),
 ///    with conflict learning (nogoods, combo dedup, the cross-scope
@@ -67,7 +67,6 @@
 #include "pdr/Frames.h"
 #include "synth/PathInvariants.h"
 #include "logic/TermRewrite.h"
-#include "smt/SmtSolver.h"
 #include "smt/SolverContext.h"
 #include "support/Rational.h"
 
@@ -335,10 +334,11 @@ void runRationalPivot(int Size, int Rounds, int Iters, MicroResult &Fast,
 /// entailment checks against one shared prefix. A chain of N SSA-style
 /// conjuncts (x0 = 0, x_{k+1} = x_k + 1) is the prefix; the queries ask
 /// x_N <= bound for a sweep of bounds (a mix of entailed and refutable).
-/// One-shot mode re-encodes prefix AND query through SmtSolver::checkSat
-/// for every bound — the pre-redesign API. Context mode asserts the prefix
-/// once into a SolverContext and flips one assumption literal per query.
-/// Both modes must agree on every verdict; the harness aborts otherwise.
+/// One-shot mode hands prefix AND query to SolverContext::checkFormula as
+/// one whole formula for every bound, on a fresh context per round.
+/// Context mode asserts the prefix once into a SolverContext and flips
+/// one assumption literal per query. Both modes must agree on every
+/// verdict; the harness aborts otherwise.
 struct IncResult {
   uint64_t Queries = 0;
   double OneShotMs = 0;
@@ -374,11 +374,11 @@ IncResult incrementalWorkload(int ChainLen, int QueriesPerRound, int Rounds) {
   {
     auto Start = Clock::now();
     for (int Round = 0; Round < Rounds; ++Round) {
-      // Fresh solver per round: the one-shot API memoizes by formula, and
-      // the pre-redesign pattern pays the full re-encoding per round.
-      pathinv::SmtSolver Solver(TM);
+      // Fresh context per round: every round pays the full encoding.
+      pathinv::smt::SolverContext OneShot(TM);
       for (const pathinv::Term *Atom : QueryAtoms) {
-        bool Entailed = Solver.isUnsat(TM.mkAnd(Prefix, TM.mkNot(Atom)));
+        bool Entailed =
+            OneShot.checkFormula(TM.mkAnd(Prefix, TM.mkNot(Atom))).isUnsat();
         if (Round == 0)
           OneShotVerdicts.push_back(Entailed);
       }
@@ -543,64 +543,33 @@ const char *verdictName(const pathinv::EngineResult &R) {
 }
 
 /// Refinement-reuse workload: verify testprogs::sequentialLoops(Loops) —
-/// one refinement per loop, >= 2 per loop in practice — on both
-/// reachability engines. The ARG engine must agree on the verdict while
-/// expanding a fraction of the nodes; the harness aborts on a verdict
-/// mismatch (in-process differential check).
+/// one refinement per loop, >= 2 per loop in practice — on the persistent
+/// ARG under the interval refiner, which keeps refinement cheap so the
+/// measurement is dominated by reachability. The program is safe; any
+/// other verdict aborts the harness.
 struct ReuseResult {
   int Loops = 0;
-  std::string ArgVerdict, RestartVerdict;
-  double ArgMs = 0, RestartMs = 0;
-  uint64_t ArgNodes = 0, RestartNodes = 0;
-  uint64_t ArgRefinements = 0, RestartRefinements = 0;
-  uint64_t ArgReused = 0, ArgPruned = 0, ArgCovered = 0;
-
-  double nodeRatio() const {
-    return ArgNodes ? static_cast<double>(RestartNodes) /
-                          static_cast<double>(ArgNodes)
-                    : 0;
-  }
-  double speedup() const { return ArgMs > 0 ? RestartMs / ArgMs : 0; }
+  std::string Verdict;
+  double Ms = 0;
+  pathinv::EngineStats Stats;
 };
 
 ReuseResult refinementReuseWorkload(int Loops) {
   ReuseResult R;
   R.Loops = Loops;
-  std::string Src = pathinv::testprogs::sequentialLoops(Loops);
-  auto run = [&](pathinv::ReachMode Mode, std::string &Verdict, double &Ms,
-                 pathinv::EngineStats &Stats) {
-    pathinv::EngineOptions Opts;
-    // The interval backend keeps refinement cheap, so the measurement is
-    // dominated by the reachability engines under comparison.
-    Opts.Refiner = pathinv::RefinerKind::PathInvariantIntervals;
-    Opts.Reach.Mode = Mode;
-    pathinv::Verifier V(Opts);
-    auto Start = Clock::now();
-    auto Res = V.verifySource(Src);
-    Ms = elapsedMs(Start, Clock::now());
-    if (!Res) {
-      Verdict = "error: " + Res.error().render();
-      return;
-    }
-    Verdict = verdictName(Res.get());
-    Stats = Res.get().Stats;
-  };
-  pathinv::EngineStats ArgStats, RestartStats;
-  run(pathinv::ReachMode::Arg, R.ArgVerdict, R.ArgMs, ArgStats);
-  run(pathinv::ReachMode::Restart, R.RestartVerdict, R.RestartMs,
-      RestartStats);
-  R.ArgNodes = ArgStats.NodesExpanded;
-  R.RestartNodes = RestartStats.NodesExpanded;
-  R.ArgRefinements = ArgStats.Refinements;
-  R.RestartRefinements = RestartStats.Refinements;
-  R.ArgReused = ArgStats.NodesReused;
-  R.ArgPruned = ArgStats.NodesPruned;
-  R.ArgCovered = ArgStats.NodesCovered;
-  if (R.ArgVerdict != R.RestartVerdict) {
-    std::cerr << "[bench] refinement-reuse verdict mismatch: arg "
-              << R.ArgVerdict << " vs restart " << R.RestartVerdict << "\n";
+  pathinv::EngineOptions Opts;
+  Opts.Refiner = pathinv::RefinerKind::PathInvariantIntervals;
+  pathinv::Verifier V(Opts);
+  auto Start = Clock::now();
+  auto Res = V.verifySource(pathinv::testprogs::sequentialLoops(Loops));
+  R.Ms = elapsedMs(Start, Clock::now());
+  R.Verdict = Res ? verdictName(Res.get()) : "error: " + Res.error().render();
+  if (R.Verdict != "safe") {
+    std::cerr << "[bench] refinement-reuse verdict " << R.Verdict
+              << ", expected safe\n";
     std::abort();
   }
+  R.Stats = Res.get().Stats;
   return R;
 }
 
@@ -888,11 +857,12 @@ E2EResult runProgramOnce(const char *Name, const char *Source) {
     R.GovernedSynthCombos = Res.get().Stats.Resources.SynthCombos;
   }
   R.PeakTerms = V.termManager().numTerms();
-  R.SmtQueries = V.solver().numQueries();
-  R.TheoryChecks = V.solver().numTheoryChecks();
-  R.SatConflicts = V.solver().numSatConflicts();
-  R.SatDecisions = V.solver().numSatDecisions();
-  R.SatPropagations = V.solver().numSatPropagations();
+  const pathinv::smt::ContextStats C = V.solver().stats();
+  R.SmtQueries = C.FormulaChecks;
+  R.TheoryChecks = C.TheoryChecks;
+  R.SatConflicts = C.SatConflicts;
+  R.SatDecisions = C.SatDecisions;
+  R.SatPropagations = C.SatPropagations;
   return R;
 }
 
@@ -1138,13 +1108,12 @@ int main(int Argc, char **Argv) {
             << Fuzz.UnknownVerdicts << " unknown)\n";
 
   std::cerr << "[bench] refinement reuse (" << ReuseLoops
-            << " sequential loops, arg vs restart)\n";
+            << " sequential loops)\n";
   ReuseResult Reuse = refinementReuseWorkload(ReuseLoops);
-  std::cerr << "[bench]   arg " << Reuse.ArgMs << " ms / "
-            << Reuse.ArgNodes << " nodes, restart " << Reuse.RestartMs
-            << " ms / " << Reuse.RestartNodes << " nodes (node ratio "
-            << Reuse.nodeRatio() << "x, speedup " << Reuse.speedup()
-            << "x)\n";
+  std::cerr << "[bench]   arg " << Reuse.Ms << " ms / "
+            << Reuse.Stats.NodesExpanded << " nodes, "
+            << Reuse.Stats.Refinements << " refinements, "
+            << Reuse.Stats.NodesReused << " reused\n";
 
   struct {
     const char *Name;
@@ -1192,7 +1161,7 @@ int main(int Argc, char **Argv) {
 
   std::ostringstream Json;
   Json << "{\n";
-  Json << "  \"schema\": \"pathinv-bench-v10\",\n";
+  Json << "  \"schema\": \"pathinv-bench-v11\",\n";
   Json << "  \"config\": {\"iters\": " << Iters
        << ", \"smoke\": " << (Smoke ? "true" : "false")
        << ", \"construct_rounds\": " << ConstructRounds
@@ -1285,19 +1254,13 @@ int main(int Argc, char **Argv) {
        << ", \"context_wall_ms\": " << Inc.ContextMs
        << ", \"speedup_vs_one_shot\": " << Inc.speedup() << "},\n";
   Json << "  \"refinement_reuse\": {\"loops\": " << Reuse.Loops
-       << ",\n    \"arg\": {\"verdict\": \"" << Reuse.ArgVerdict
-       << "\", \"wall_ms\": " << Reuse.ArgMs
-       << ", \"nodes_expanded\": " << Reuse.ArgNodes
-       << ", \"refinements\": " << Reuse.ArgRefinements
-       << ", \"nodes_reused\": " << Reuse.ArgReused
-       << ", \"nodes_pruned\": " << Reuse.ArgPruned
-       << ", \"nodes_covered\": " << Reuse.ArgCovered << "},\n"
-       << "    \"restart\": {\"verdict\": \"" << Reuse.RestartVerdict
-       << "\", \"wall_ms\": " << Reuse.RestartMs
-       << ", \"nodes_expanded\": " << Reuse.RestartNodes
-       << ", \"refinements\": " << Reuse.RestartRefinements << "},\n"
-       << "    \"node_ratio\": " << Reuse.nodeRatio()
-       << ", \"speedup_vs_restart\": " << Reuse.speedup() << "},\n";
+       << ",\n    \"arg\": {\"verdict\": \"" << Reuse.Verdict
+       << "\", \"wall_ms\": " << Reuse.Ms
+       << ", \"nodes_expanded\": " << Reuse.Stats.NodesExpanded
+       << ", \"refinements\": " << Reuse.Stats.Refinements
+       << ", \"nodes_reused\": " << Reuse.Stats.NodesReused
+       << ", \"nodes_pruned\": " << Reuse.Stats.NodesPruned
+       << ", \"nodes_covered\": " << Reuse.Stats.NodesCovered << "}},\n";
   Json << "  \"end_to_end\": [\n";
   for (size_t I = 0; I < E2E.size(); ++I) {
     const E2EResult &R = E2E[I].Cegar;

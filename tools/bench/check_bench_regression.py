@@ -4,7 +4,6 @@
 Usage: check_bench_regression.py BASELINE.json CURRENT.json
            [--max-regression 0.20]
            [--require-microbench KEY:MINSPEEDUP ...]
-           [--require-reuse MINRATIO]
            [--require-portfolio MAXRATIO [--portfolio-noise-ms MS]]
 
 Gates:
@@ -27,9 +26,13 @@ Gates:
     against v10 "cold") measures different runs and is skipped;
   * --require-microbench KEY:MIN enforces an absolute floor on a current
     microbench's speedup_vs_reference (e.g. rational_pivot:1.5);
-  * --require-reuse MIN enforces a floor on the refinement_reuse
-    workload's node-expansion ratio (restart nodes / arg nodes) and
-    re-checks that both reachability engines agreed on the verdict;
+  * whenever the current file has the refinement_reuse workload, its
+    ARG run must be safe, and when the baseline ran it on the same number
+    of loops, the current arg.nodes_expanded may not exceed the
+    baseline's (a deterministic work count, so machine-independent). A
+    pair with different loop counts (a smoke run against a full one)
+    skips the node comparison; tests/cegar_arg_test.cpp pins the counts
+    at both sizes;
   * --require-portfolio MAX enforces, per e2e program (schema v7+), that
     the portfolio wall is at most MAX x the better single engine's wall
     — the racing overhead bound. The gate is a within-file ratio, so it
@@ -97,11 +100,6 @@ def main():
                     metavar="KEY:MINSPEEDUP",
                     help="fail unless current microbench KEY reaches "
                          "MINSPEEDUP x vs its in-process reference")
-    ap.add_argument("--require-reuse", type=float, default=None,
-                    metavar="MINRATIO",
-                    help="fail unless refinement_reuse.node_ratio (restart "
-                         "nodes / arg nodes) reaches MINRATIO and both "
-                         "engines agree on the verdict")
     ap.add_argument("--require-portfolio", type=float, default=None,
                     metavar="MAXRATIO",
                     help="fail if any e2e program's portfolio wall exceeds "
@@ -210,24 +208,24 @@ def main():
         else:
             print("OK:   " + line)
 
-    if args.require_reuse is not None:
-        reuse = cur.get("refinement_reuse")
-        if reuse is None:
-            print("FAIL: refinement_reuse workload missing from current")
-            ok = False
-        else:
-            ratio = reuse.get("node_ratio", 0.0)
-            arg_v = reuse.get("arg", {}).get("verdict")
-            restart_v = reuse.get("restart", {}).get("verdict")
-            line = (f"refinement_reuse: node ratio {ratio:.2f}x "
-                    f"(>= {args.require_reuse}x), verdicts "
-                    f"arg={arg_v} restart={restart_v}, speedup "
-                    f"{reuse.get('speedup_vs_restart', 0.0):.2f}x")
-            if ratio < args.require_reuse or arg_v != restart_v:
-                print("FAIL: " + line)
-                ok = False
-            else:
-                print("OK:   " + line)
+    reuse = cur.get("refinement_reuse")
+    if reuse is not None:
+        arg = reuse.get("arg", {})
+        verdict = arg.get("verdict")
+        print(("OK:   " if verdict == "safe" else "FAIL: ") +
+              f"refinement_reuse ({reuse.get('loops')} loops): "
+              f"verdict {verdict}")
+        ok = ok and verdict == "safe"
+        base_reuse = base.get("refinement_reuse")
+        if base_reuse is not None and \
+                base_reuse.get("loops") == reuse.get("loops"):
+            b_nodes = base_reuse["arg"]["nodes_expanded"]
+            c_nodes = arg.get("nodes_expanded")
+            holds = c_nodes is not None and c_nodes <= b_nodes
+            print(("OK:   " if holds else "FAIL: ") +
+                  f"refinement_reuse arg nodes expanded {c_nodes} <= "
+                  f"baseline {b_nodes}")
+            ok = ok and holds
 
     if args.require_portfolio is not None:
         gated = 0

@@ -10,9 +10,8 @@
 /// Usage: pathinv [options] <file.pil | ->
 ///   --engine=cegar|pdr|portfolio              verification backend
 ///   --refiner=pathinv|intervals|pathformula   refinement strategy
-///   --reach=arg|restart                       CEGAR reachability engine
 ///   --max-refinements=N                       CEGAR iteration budget
-///   --max-nodes=N                             abstract reachability budget
+///   --max-nodes=N                             ARG expansions per phase
 ///   --timeout=SEC                             wall-clock deadline
 ///   --memory=MB                               soft tracked-heap ceiling
 ///   --budgets=k=v,...                         per-layer step budgets
@@ -27,7 +26,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Verifier.h"
-#include "smt/SolverContext.h"
 
 #include <cstdlib>
 #include <cstring>
@@ -47,11 +45,10 @@ int usage(const char *Argv0) {
       << "                       time-sliced race of both\n"
       << "  --refiner=pathinv|intervals|pathformula  refinement strategy\n"
       << "                                           (default: pathinv)\n"
-      << "  --reach=arg|restart  CEGAR reachability engine: persistent ARG\n"
-      << "                       with subtree-scoped refinement (default),\n"
-      << "                       or the legacy restart-the-world tree\n"
       << "  --max-refinements=N  CEGAR iteration budget (default 40)\n"
-      << "  --max-nodes=N        abstract reachability node budget\n"
+      << "  --max-nodes=N        node expansions allowed in each abstract\n"
+      << "                       reachability phase of the persistent ARG\n"
+      << "                       (default 50000)\n"
       << "  --timeout=SEC        wall-clock deadline (0 = unlimited)\n"
       << "  --memory=MB          soft ceiling on tracked heap bytes\n"
       << "  --budgets=k=v,...    per-layer step budgets; keys:\n"
@@ -161,15 +158,6 @@ int main(int Argc, char **Argv) {
         Opts.Refiner = pathinv::RefinerKind::PathFormula;
       } else {
         std::cerr << "unknown refiner '" << V << "'\n";
-        return usage(Argv[0]);
-      }
-    } else if (const char *V = valueOf("--reach=")) {
-      if (std::strcmp(V, "arg") == 0) {
-        Opts.Reach.Mode = pathinv::ReachMode::Arg;
-      } else if (std::strcmp(V, "restart") == 0) {
-        Opts.Reach.Mode = pathinv::ReachMode::Restart;
-      } else {
-        std::cerr << "unknown reachability engine '" << V << "'\n";
         return usage(Argv[0]);
       }
     } else if (const char *V = valueOf("--max-refinements=")) {
