@@ -38,54 +38,72 @@ const Term *pathinv::pdr::cubeClause(TermManager &TM, const Cube &C) {
 Frames::Frames(const Program &P)
     : NumLocs(static_cast<size_t>(P.numLocations())) {
   // Levels 0 (implicit init, never stored) and 1 (the first frontier).
-  Delta.resize(2, std::vector<std::vector<Cube>>(NumLocs));
+  Delta.resize(2, std::vector<Slot>(NumLocs));
 }
 
-void Frames::extend() {
-  Delta.emplace_back(std::vector<std::vector<Cube>>(NumLocs));
-}
+void Frames::extend() { Delta.emplace_back(std::vector<Slot>(NumLocs)); }
 
 void Frames::addBlockedCube(size_t Level, LocId Loc, Cube C) {
   canonicalizeCube(C);
-  size_t L = static_cast<size_t>(Loc);
+  insertCube(Level, static_cast<size_t>(Loc), std::move(C), nullptr);
+}
+
+void Frames::insertCube(size_t Level, size_t L, Cube C, const Term *Clause) {
   // Subsumption pruning: the new clause is in every F_1..F_Level, so any
   // stored cube it subsumes at delta <= Level is now redundant.
   for (size_t I = 1; I <= Level; ++I) {
-    std::vector<Cube> &Cubes = Delta[I][L];
-    Cubes.erase(std::remove_if(Cubes.begin(), Cubes.end(),
-                               [&](const Cube &Old) {
-                                 return cubeSubsumes(C, Old);
-                               }),
-                Cubes.end());
+    Slot &S = Delta[I][L];
+    size_t Kept = 0;
+    for (size_t K = 0; K < S.Cubes.size(); ++K) {
+      if (cubeSubsumes(C, S.Cubes[K]))
+        continue;
+      if (Kept != K) {
+        S.Cubes[Kept] = std::move(S.Cubes[K]);
+        S.Clauses[Kept] = S.Clauses[K];
+      }
+      ++Kept;
+    }
+    S.Cubes.resize(Kept);
+    S.Clauses.resize(Kept);
   }
-  Delta[Level][L].push_back(std::move(C));
+  Delta[Level][L].Cubes.push_back(std::move(C));
+  Delta[Level][L].Clauses.push_back(Clause);
 }
 
 bool Frames::isBlocked(size_t Level, LocId Loc, const Cube &C) const {
   size_t L = static_cast<size_t>(Loc);
   for (size_t I = Level; I < Delta.size(); ++I)
-    for (const Cube &Stored : Delta[I][L])
+    for (const Cube &Stored : Delta[I][L].Cubes)
       if (cubeSubsumes(Stored, C))
         return true;
   return false;
 }
 
+const Term *Frames::clauseAt(TermManager &TM, size_t Level, LocId Loc,
+                             size_t Index) const {
+  const Slot &S = Delta[Level][static_cast<size_t>(Loc)];
+  if (!S.Clauses[Index])
+    S.Clauses[Index] = cubeClause(TM, S.Cubes[Index]);
+  return S.Clauses[Index];
+}
+
 void Frames::collectClauses(TermManager &TM, size_t Level, LocId Loc,
                             std::vector<const Term *> &Out) const {
-  size_t L = static_cast<size_t>(Loc);
   for (size_t I = std::max<size_t>(Level, 1); I < Delta.size(); ++I)
-    for (const Cube &C : Delta[I][L])
-      Out.push_back(cubeClause(TM, C));
+    for (size_t K = 0; K < Delta[I][static_cast<size_t>(Loc)].Cubes.size();
+         ++K)
+      Out.push_back(clauseAt(TM, I, Loc, K));
 }
 
 void Frames::pushCube(size_t Level, LocId Loc, size_t Index) {
-  size_t L = static_cast<size_t>(Loc);
-  std::vector<Cube> &Cubes = Delta[Level][L];
-  Cube Moved = std::move(Cubes[Index]);
-  Cubes.erase(Cubes.begin() + static_cast<ptrdiff_t>(Index));
+  Slot &S = Delta[Level][static_cast<size_t>(Loc)];
+  Cube Moved = std::move(S.Cubes[Index]);
+  const Term *Clause = S.Clauses[Index];
+  S.Cubes.erase(S.Cubes.begin() + static_cast<ptrdiff_t>(Index));
+  S.Clauses.erase(S.Clauses.begin() + static_cast<ptrdiff_t>(Index));
   // Re-insert through the subsuming path so a pushed clause retires any
   // weaker one already sitting at the higher level.
-  addBlockedCube(Level + 1, Loc, std::move(Moved));
+  insertCube(Level + 1, static_cast<size_t>(Loc), std::move(Moved), Clause);
 }
 
 int Frames::fixpointLevel() const {
@@ -93,8 +111,8 @@ int Frames::fixpointLevel() const {
   // bad-state check yet, so an empty frontier delta proves nothing.
   for (size_t I = 1; I + 1 < Delta.size(); ++I) {
     bool Empty = true;
-    for (const std::vector<Cube> &Cubes : Delta[I])
-      if (!Cubes.empty()) {
+    for (const Slot &S : Delta[I])
+      if (!S.Cubes.empty()) {
         Empty = false;
         break;
       }
@@ -126,8 +144,8 @@ InvariantMap Frames::invariantMap(TermManager &TM, const Program &P,
 uint64_t Frames::totalClauses() const {
   uint64_t N = 0;
   for (const auto &Level : Delta)
-    for (const auto &Cubes : Level)
-      N += Cubes.size();
+    for (const Slot &S : Level)
+      N += S.Cubes.size();
   return N;
 }
 

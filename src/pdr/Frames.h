@@ -73,7 +73,8 @@ public:
   bool isBlocked(size_t Level, LocId Loc, const Cube &C) const;
 
   /// Appends the clause terms of F_Level[Loc] (negations of every cube at
-  /// delta >= Level) to \p Out.
+  /// delta >= Level) to \p Out. Each stored cube's clause is built once,
+  /// on first use, and kept beside the cube.
   void collectClauses(TermManager &TM, size_t Level, LocId Loc,
                       std::vector<const Term *> &Out) const;
 
@@ -81,8 +82,12 @@ public:
   /// these). The returned reference is invalidated by addBlockedCube /
   /// pushCube at that level.
   const std::vector<Cube> &cubesAt(size_t Level, LocId Loc) const {
-    return Delta[Level][static_cast<size_t>(Loc)];
+    return Delta[Level][static_cast<size_t>(Loc)].Cubes;
   }
+
+  /// The clause ¬c of the \p Index-th cube of cubesAt(Level, Loc).
+  const Term *clauseAt(TermManager &TM, size_t Level, LocId Loc,
+                       size_t Index) const;
 
   /// Moves \p Index-th cube of delta \p Level at \p Loc up to Level+1
   /// (it was shown relatively inductive one level higher).
@@ -103,10 +108,23 @@ public:
   uint64_t totalClauses() const;
 
 private:
+  /// The cubes blocked exactly at one (level, location), each with its
+  /// clause ¬cube. A clause is built when first asked for, at the moment
+  /// a rebuild on every call would first have built it, so the terms the
+  /// engine creates (and their ids) do not depend on the cache.
+  struct Slot {
+    std::vector<Cube> Cubes;
+    mutable std::vector<const Term *> Clauses; ///< Null until built.
+  };
+
+  /// Stores canonical \p C with its clause (null if not built yet) at
+  /// delta \p Level, dropping every cube it subsumes at delta 1..Level.
+  void insertCube(size_t Level, size_t Loc, Cube C, const Term *Clause);
+
   size_t NumLocs;
   /// Delta[level][loc] = cubes blocked exactly at that level; level 0 is
   /// unused (the init frame is implicit).
-  std::vector<std::vector<std::vector<Cube>>> Delta;
+  std::vector<std::vector<Slot>> Delta;
 };
 
 /// The clause ¬cube: disjunction of negated literals (false for the

@@ -18,6 +18,7 @@
 #include <cassert>
 #include <set>
 #include <tuple>
+#include <unordered_map>
 
 using namespace pathinv;
 using namespace pathinv::pdr;
@@ -94,10 +95,17 @@ struct PdrEngine::Impl {
     Queue.emplace(Level, Seq++, NodeIdx);
   }
 
+  /// Primed copies of cube literals, memoized: every frame query primes
+  /// its cube, and cubes share literals across thousands of queries.
+  std::unordered_map<const Term *, const Term *> Primed;
+
   const Term *primeLit(const Term *L) {
-    return renameVars(TM, L, [this](const Term *V) -> const Term * {
-      return isPrimedVar(V) ? nullptr : primedVar(TM, V);
-    });
+    const Term *&Out = Primed[L];
+    if (!Out)
+      Out = renameVars(TM, L, [this](const Term *V) -> const Term * {
+        return isPrimedVar(V) ? nullptr : primedVar(TM, V);
+      });
+    return Out;
   }
 
   void addPoolAtoms(const Term *T, std::vector<const Term *> &Out) {
@@ -164,13 +172,17 @@ struct PdrEngine::Impl {
   }
 
   /// A query came back Unknown: the controller tripped mid-check (real
-  /// exhaustion or a portfolio slice pause), or the formula left the
-  /// supported fragment. Either way the verdict is Unknown; run()'s
-  /// epilogue distinguishes pause from terminal via slicePaused().
-  Step unknownQuery() {
-    Result.Note = resourceExhausted()
-                      ? "resources exhausted during pdr frame query"
-                      : "pdr frame query outside supported fragment";
+  /// exhaustion or a portfolio slice pause), the theory solver's split
+  /// stack hit its depth bound, or the formula left the supported
+  /// fragment. Either way the verdict is Unknown; run()'s epilogue
+  /// distinguishes pause from terminal via slicePaused().
+  Step unknownQuery(const smt::CheckResult &R) {
+    if (resourceExhausted())
+      Result.Note = "resources exhausted during pdr frame query";
+    else if (R.unknownCause() == smt::CheckResult::UnknownCause::SplitDepth)
+      Result.Note = "pdr frame query exhausted the theory split depth";
+    else
+      Result.Note = "pdr frame query outside supported fragment";
     return Step::Stop;
   }
 
@@ -258,7 +270,7 @@ Step PdrEngine::Impl::processNext() {
       // the whole cube.
       smt::CheckResult R = storeQuery(std::move(Base), T.Rel, C);
       if (R.isUnknown())
-        return unknownQuery();
+        return unknownQuery(R);
       if (R.isUnsat()) {
         NoGen = true;
         continue;
@@ -273,7 +285,7 @@ Step PdrEngine::Impl::processNext() {
       Assumptions.push_back(primeLit(L));
     smt::CheckResult R = FQ.query(Base, Assumptions);
     if (R.isUnknown())
-      return unknownQuery();
+      return unknownQuery(R);
     if (R.isSat())
       return descend(NodeIdx, Level, TIdx, R.model());
     const smt::UnsatCore &Core = R.core();
@@ -431,7 +443,7 @@ Step PdrEngine::Impl::badCheck(bool &Found) {
       return FQ.query(Base, {});
     }();
     if (R.isUnknown())
-      return unknownQuery();
+      return unknownQuery(R);
     if (R.isUnsat())
       continue;
     Nodes.push_back({T.From, cubeFromModel(R.model()), -1, TIdx});
@@ -457,7 +469,7 @@ Step PdrEngine::Impl::pushPhase() {
           std::vector<const Term *> Base;
           F.collectClauses(TM, Level, T.From, Base);
           if (T.From == Loc)
-            Base.push_back(cubeClause(TM, C));
+            Base.push_back(F.clauseAt(TM, Level, Loc, I));
           smt::CheckResult R = [&] {
             if (containsStore(T.Rel))
               return storeQuery(std::move(Base), T.Rel, C);
@@ -470,7 +482,7 @@ Step PdrEngine::Impl::pushPhase() {
             return FQ.query(Base, Assumptions);
           }();
           if (R.isUnknown())
-            return unknownQuery();
+            return unknownQuery(R);
           if (R.isSat()) {
             Inductive = false;
             break;

@@ -329,6 +329,35 @@ void SatSolver::backtrack(int TargetLevel) {
   PropHead = Trail.size();
 }
 
+std::vector<char> SatSolver::reasonClauses() const {
+  std::vector<char> IsReason(Clauses.size(), 0);
+  for (Lit L : Trail)
+    if (Reason[L.var()] >= 0)
+      IsReason[Reason[L.var()]] = 1;
+  return IsReason;
+}
+
+std::vector<int> SatSolver::compactClauses(const std::vector<char> &Drop) {
+  std::vector<int> NewIdx(Clauses.size(), -1);
+  size_t Next = 0;
+  for (size_t I = 0; I < Clauses.size(); ++I) {
+    if (Drop[I]) {
+      if (Clauses[I].Learned)
+        --RedundantClauses;
+      continue;
+    }
+    NewIdx[I] = static_cast<int>(Next);
+    if (Next != I)
+      Clauses[Next] = std::move(Clauses[I]);
+    ++Next;
+  }
+  Clauses.resize(Next);
+  for (int &R : Reason)
+    if (R >= 0)
+      R = NewIdx[R];
+  return NewIdx;
+}
+
 void SatSolver::purgeLearned(size_t MaxKeep) {
   if (RedundantClauses <= MaxKeep || KnownUnsat)
     return;
@@ -337,11 +366,7 @@ void SatSolver::purgeLearned(size_t MaxKeep) {
   // Keep every irredundant clause, every redundant clause serving as the
   // reason of a (level-0) assignment, and the MaxKeep most active
   // redundant clauses beyond those.
-  std::vector<char> IsReason(Clauses.size(), 0);
-  for (Lit L : Trail)
-    if (Reason[L.var()] >= 0)
-      IsReason[Reason[L.var()]] = 1;
-
+  std::vector<char> IsReason = reasonClauses();
   std::vector<std::pair<double, int>> Candidates;
   Candidates.reserve(RedundantClauses);
   for (size_t I = 0; I < Clauses.size(); ++I)
@@ -356,34 +381,102 @@ void SatSolver::purgeLearned(size_t MaxKeep) {
   std::vector<char> Drop(Clauses.size(), 0);
   for (size_t I = MaxKeep; I < Candidates.size(); ++I)
     Drop[Candidates[I].second] = 1;
+  PurgedClauses += Candidates.size() - MaxKeep;
 
   // Compact the clause store and remap reasons; watches are rebuilt
   // wholesale (the two watch positions were valid before the purge and
   // the trail did not change, so they remain valid).
-  std::vector<int> NewIdx(Clauses.size(), -1);
-  size_t Next = 0;
-  for (size_t I = 0; I < Clauses.size(); ++I) {
-    if (Drop[I]) {
-      --RedundantClauses;
-      ++PurgedClauses;
-      continue;
-    }
-    NewIdx[I] = static_cast<int>(Next);
-    if (Next != I)
-      Clauses[Next] = std::move(Clauses[I]);
-    ++Next;
-  }
-  Clauses.resize(Next);
-  for (int &R : Reason)
-    if (R >= 0)
-      R = NewIdx[R];
+  compactClauses(Drop);
   for (std::vector<int> &W : Watches)
     W.clear();
   for (size_t I = 0; I < Clauses.size(); ++I) {
     Watches[Clauses[I].Lits[0].Value].push_back(static_cast<int>(I));
     Watches[Clauses[I].Lits[1].Value].push_back(static_cast<int>(I));
   }
+#ifndef NDEBUG
+  checkWatches();
+#endif
 }
+
+void SatSolver::maybeSweepSatisfied() {
+  if (Trail.size() == SweepTrail ||
+      Propagations - SweepPropagations < SweepBudget)
+    return;
+  sweepSatisfied();
+}
+
+void SatSolver::sweepSatisfied() {
+  assert(TrailLim.empty() && PropHead == Trail.size() &&
+         "sweep runs at level 0 after propagation");
+  ++Sweeps;
+  // At level 0 every assigned literal is permanent, so a clause with a
+  // true literal can never propagate or conflict again: the only trace
+  // it leaves in a search is a dead entry in some watch list.
+  std::vector<char> IsReason = reasonClauses();
+  std::vector<char> Drop(Clauses.size(), 0);
+  size_t Dropped = 0;
+  for (size_t I = 0; I < Clauses.size(); ++I) {
+    if (IsReason[I] || Clauses[I].Learned)
+      continue;
+    for (Lit L : Clauses[I].Lits)
+      if (litTrue(L)) {
+        Drop[I] = 1;
+        ++Dropped;
+        break;
+      }
+  }
+  if (Dropped > 0) {
+    std::vector<int> NewIdx = compactClauses(Drop);
+    // Filter the watch lists in place: the survivors keep their order,
+    // which is what keeps propagation (and everything after it) exact.
+    for (std::vector<int> &W : Watches) {
+      size_t Keep = 0;
+      for (int CI : W)
+        if (NewIdx[CI] >= 0)
+          W[Keep++] = NewIdx[CI];
+      W.resize(Keep);
+    }
+    SweptClauses += Dropped;
+  }
+  uint64_t Literals = 0;
+  for (const Clause &C : Clauses)
+    Literals += C.Lits.size();
+  SweepTrail = Trail.size();
+  SweepPropagations = Propagations;
+  SweepBudget = Literals;
+#ifndef NDEBUG
+  checkWatches();
+#endif
+}
+
+#ifndef NDEBUG
+void SatSolver::checkWatches() const {
+  // Per clause: bit 0 once watched at Lits[0], bit 1 once at Lits[1].
+  std::vector<int> Seen(Clauses.size(), 0);
+  for (size_t L = 0; L < Watches.size(); ++L) {
+    for (int CI : Watches[L]) {
+      assert(CI >= 0 && static_cast<size_t>(CI) < Clauses.size() &&
+             "watch list names a removed clause");
+      const Clause &C = Clauses[CI];
+      int Bit = C.Lits[0].Value == static_cast<int>(L)   ? 1
+                : C.Lits[1].Value == static_cast<int>(L) ? 2
+                                                         : 0;
+      assert(Bit != 0 && "clause watched away from Lits[0] and Lits[1]");
+      assert(!(Seen[CI] & Bit) && "clause watched twice by one literal");
+      Seen[CI] |= Bit;
+    }
+  }
+  for (size_t I = 0; I < Clauses.size(); ++I)
+    assert(Seen[I] == 3 && "clause not watched at both watch positions");
+  for (Lit L : Trail) {
+    int R = Reason[L.var()];
+    if (R < 0)
+      continue;
+    assert(static_cast<size_t>(R) < Clauses.size() &&
+           Clauses[R].Lits[0] == L && "reason is not a stored clause");
+  }
+}
+#endif
 
 void SatSolver::analyzeFinal(Lit Failed) {
   FailedAssumptions.clear();
@@ -448,6 +541,7 @@ SatSolver::Result SatSolver::solve(const std::vector<Lit> &Assumptions) {
     KnownUnsat = true;
     return Result::Unsat;
   }
+  maybeSweepSatisfied();
 
   uint64_t ConflictsSinceRestart = 0;
   uint64_t RestartLimit = 64;

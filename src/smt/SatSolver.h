@@ -72,6 +72,10 @@ public:
   size_t numRedundantClauses() const { return RedundantClauses; }
   size_t numClauses() const { return Clauses.size(); }
   uint64_t numPurgedClauses() const { return PurgedClauses; }
+  /// Level-0 sweeps run so far, and the irredundant clauses they removed
+  /// (see sweepSatisfied()).
+  uint64_t numSweeps() const { return Sweeps; }
+  uint64_t numSweptClauses() const { return SweptClauses; }
 
   /// Garbage-collects the redundant clause set down to (at most)
   /// \p MaxKeep clauses, preferring the most active ones (activity is
@@ -82,7 +86,10 @@ public:
   void purgeLearned(size_t MaxKeep);
 
   /// Solves the current clause set, optionally under a list of assumption
-  /// literals. Assumptions are decided (in order) before any free decision,
+  /// literals. Before searching, irredundant clauses satisfied at level 0
+  /// (e.g. the guard clauses of a scope whose selector was disabled by a
+  /// unit) are swept out of the store when enough has changed since the
+  /// last sweep; the search itself is exactly the unswept one. Assumptions are decided (in order) before any free decision,
   /// so learned clauses never depend on them: the clause database — and
   /// everything learned from it — stays valid across calls with different
   /// assumption sets. On Unsat under assumptions, failedAssumptions()
@@ -142,6 +149,28 @@ private:
   /// FailedAssumptions (together with \p Failed itself).
   void analyzeFinal(Lit Failed);
   void backtrack(int Level);
+  /// Amortized entry to the level-0 sweep: runs it only when the level-0
+  /// trail grew since the last sweep and more literals were propagated
+  /// since then than the store held after it (MiniSat's simplify rule).
+  void maybeSweepSatisfied();
+  /// Removes every irredundant clause satisfied by a level-0 literal,
+  /// except reasons. Clauses and watch lists are compacted in place in
+  /// their relative order, so propagation visits the surviving clauses
+  /// exactly as before and the search (conflicts, learned clauses,
+  /// decisions) is unchanged. Learned clauses are left to purgeLearned().
+  void sweepSatisfied();
+  /// Drops the clauses marked in \p Drop and remaps reasons (callers fix
+  /// the watch lists); survivors keep their relative order. Returns the
+  /// old -> new index map (-1 for dropped clauses).
+  std::vector<int> compactClauses(const std::vector<char> &Drop);
+  /// Marks the clauses currently serving as the reason of an assignment.
+  std::vector<char> reasonClauses() const;
+#ifndef NDEBUG
+  /// Debug check of the clause store: every watched index is valid, each
+  /// clause is watched exactly at Lits[0] and Lits[1], and every reason
+  /// is a stored clause propagating its literal from Lits[0].
+  void checkWatches() const;
+#endif
   void bumpVar(int Var);
   void bumpClause(int ClauseIdx);
   void decayActivities();
@@ -179,6 +208,14 @@ private:
   double ClauseActivityInc = 1.0;
   size_t RedundantClauses = 0;
   uint64_t PurgedClauses = 0;
+  // Level-0 sweep state: trail size and propagation count at the last
+  // sweep, and the literals stored right after it (the propagation
+  // budget the next sweep waits for).
+  size_t SweepTrail = 0;
+  uint64_t SweepPropagations = 0;
+  uint64_t SweepBudget = 0;
+  uint64_t Sweeps = 0;
+  uint64_t SweptClauses = 0;
   bool KnownUnsat = false;
 
   // addClause scratch state: stamped per-literal markers for sort-free

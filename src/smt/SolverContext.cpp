@@ -15,10 +15,9 @@ using namespace pathinv::smt;
 
 namespace {
 
-/// Mixes a term id into a running order-sensitive fingerprint.
-uint64_t mixFingerprint(uint64_t Fp, uint32_t Id) {
-  Fp ^= Id + 0x9e3779b97f4a7c15ull + (Fp << 12) + (Fp >> 4);
-  return Fp * 0x100000001b3ull;
+CheckResult::UnknownCause unknownCauseOf(const ConjResult &R) {
+  return R.SplitDepthExhausted ? CheckResult::UnknownCause::SplitDepth
+                               : CheckResult::UnknownCause::Resources;
 }
 
 } // namespace
@@ -89,9 +88,23 @@ std::optional<Lit> SolverContext::currentSelector() {
   return Lit(S.SelectorVar, false);
 }
 
+const SolverContext::FormulaInfo &SolverContext::infoOf(const Term *F) {
+  auto [It, Inserted] = Infos.try_emplace(F);
+  FormulaInfo &Info = It->second;
+  if (Inserted) {
+    Info.IsConjunction = isLiteralConjunction(F, Info.Conjuncts);
+    if (!Info.IsConjunction)
+      Info.Conjuncts = {};
+    TermSet Atoms;
+    collectAtoms(F, Atoms);
+    Info.Atoms.assign(Atoms.begin(), Atoms.end());
+  }
+  return Info;
+}
+
 void SolverContext::push() {
   ++Stats.Pushes;
-  Scopes.push_back({-1, Assertions.size(), NumComplexActive, Fingerprint});
+  Scopes.push_back({-1, Assertions.size(), NumComplexActive});
   Theory.pushBase();
 }
 
@@ -105,9 +118,14 @@ void SolverContext::pop() {
     // mentioning the selector stay valid and become satisfied.
     Sat.addClause({Lit(S.SelectorVar, true)});
   }
-  Assertions.resize(S.AssertionMark);
+  if (S.AssertionMark < Assertions.size()) {
+    for (size_t I = S.AssertionMark; I < Assertions.size(); ++I)
+      for (const Term *Atom : Assertions[I].Info->Atoms)
+        --AtomRefs[Atom->id()];
+    LiveAtoms.resize(Assertions[S.AssertionMark].AtomMark);
+    Assertions.resize(S.AssertionMark);
+  }
   NumComplexActive = S.ComplexMark;
-  Fingerprint = S.SavedFingerprint;
   Theory.popBase();
 }
 
@@ -119,20 +137,18 @@ void SolverContext::assertTerm(const Term *F) {
          "SolverContext is store-free; run array-write elimination on the "
          "whole query first");
   ++Stats.Assertions;
-  Fingerprint = mixFingerprint(Fingerprint, F->id());
 
-  Assertion A;
-  A.Formula = F;
-  std::vector<const Term *> Conjuncts;
-  A.IsConjunction = isLiteralConjunction(F, Conjuncts);
-  {
-    TermSet Atoms;
-    collectAtoms(F, Atoms);
-    A.Atoms.assign(Atoms.begin(), Atoms.end());
+  const FormulaInfo &Info = infoOf(F);
+  Assertions.push_back({&Info, LiveAtoms.size()});
+  for (const Term *Atom : Info.Atoms) {
+    if (AtomRefs.size() <= Atom->id())
+      AtomRefs.resize(Atom->id() + 1, 0);
+    if (AtomRefs[Atom->id()]++ == 0)
+      LiveAtoms.push_back(Atom);
   }
 
-  if (A.IsConjunction) {
-    for (const Term *C : Conjuncts)
+  if (Info.IsConjunction) {
+    for (const Term *C : Info.Conjuncts)
       Theory.assertBase(C);
   } else {
     ++NumComplexActive;
@@ -149,8 +165,6 @@ void SolverContext::assertTerm(const Term *F) {
     else
       Sat.addClause({Root});
   }
-
-  Assertions.push_back(std::move(A));
 }
 
 CheckResult
@@ -191,7 +205,7 @@ CheckResult SolverContext::checkFormula(const Term *F) {
   if (containsStore(F)) {
     Expected<const Term *> Reduced = eliminateArrayWrites(TM, F);
     if (!Reduced)
-      return CheckResult::unknown(); // Outside the array fragment.
+      return CheckResult::unknown(CheckResult::UnknownCause::Unsupported);
     F = Reduced.get();
   }
   // Literal conjunctions ride the theory fast path as one batch of
@@ -231,8 +245,8 @@ SolverContext::checkConjunctions(const std::vector<const Term *> &Assumptions) {
       ++Stats.BnbLemmas;
   }
 
-  if (R.Interrupted)
-    return CheckResult::unknown(); // Resources exhausted; context reusable.
+  if (R.Interrupted) // Context reusable either way.
+    return CheckResult::unknown(unknownCauseOf(R));
   if (R.IsSat)
     return CheckResult::sat(Model(std::move(R.Model)));
   std::vector<const Term *> Failed;
@@ -271,12 +285,15 @@ SolverContext::checkLazy(const std::vector<const Term *> &Assumptions) {
   // Relevant atoms: only atoms of live assertions and of this check's
   // assumptions join the theory check. Atoms from popped scopes or from
   // other checks sharing this context would otherwise bloat every theory
-  // query with stale literals.
-  TermSet Active;
-  for (const Assertion &A : Assertions)
-    Active.insert(A.Atoms.begin(), A.Atoms.end());
+  // query with stale literals. LiveAtoms is kept current by assertTerm
+  // and pop(); the theory sees the union in term-id order.
+  std::vector<const Term *> Active(LiveAtoms);
   for (const Term *A : Assumptions)
-    collectAtoms(A, Active);
+    for (const Term *Atom : infoOf(A).Atoms)
+      if (Atom->id() >= AtomRefs.size() || AtomRefs[Atom->id()] == 0)
+        Active.push_back(Atom);
+  std::sort(Active.begin(), Active.end(), TermIdLess());
+  Active.erase(std::unique(Active.begin(), Active.end()), Active.end());
 
   while (true) {
     SatSolver::Result SatR = Sat.solve(SatAssumps);
@@ -317,7 +334,7 @@ SolverContext::checkLazy(const std::vector<const Term *> &Assumptions) {
     ++Stats.TheoryChecks;
     ConjResult R = Theory.solve(TheoryLits);
     if (R.Interrupted)
-      return CheckResult::unknown();
+      return CheckResult::unknown(unknownCauseOf(R));
     if (R.IsSat)
       return CheckResult::sat(Model(std::move(R.Model)));
 

@@ -27,6 +27,15 @@
 /// assumption-independent; failed assumption sets come back as unsat
 /// cores.
 ///
+/// A long-lived context stays bounded on both kinds of SAT garbage: the
+/// guard clauses of popped scopes are satisfied at level 0 by the
+/// disabling unit, and the SAT core sweeps them out before a later search
+/// (amortized, order-preserving, so answers and work are unchanged);
+/// learned clauses and theory lemmas are purged by activity against the
+/// learned-clause budget. Per-formula data (literal-conjunction split,
+/// atom list) is computed once per distinct asserted formula, and the
+/// atoms of the live assertions are kept as a stack that pop() truncates.
+///
 /// Restrictions: asserted terms and assumptions must be quantifier-free
 /// and store-free. Instantiate quantifiers (smt/QuantInst.h) and eliminate
 /// array writes (smt/ArrayElim.h) on the *whole* query first — array-write
@@ -44,6 +53,7 @@
 
 #include <map>
 #include <optional>
+#include <unordered_map>
 
 namespace pathinv {
 namespace smt {
@@ -109,15 +119,22 @@ private:
 /// Outcome of one checkSat(): a status plus the model (Sat) or core
 /// (Unsat), both value-typed.
 ///
-/// Unknown means the job's ResourceController tripped mid-check: neither
-/// isSat() nor isUnsat() holds, the model and core are empty, and the
-/// context remains valid and reusable (scopes intact, tableau consistent).
-/// Since callers act on isSat()/isUnsat(), treating Unknown as "not
-/// proven" is sound everywhere: a feasibility check stays conservatively
-/// feasible, an entailment stays conservatively non-entailed.
+/// Unknown means the check gave up; unknownCause() says why (usually the
+/// job's ResourceController tripped mid-check). Neither isSat() nor
+/// isUnsat() holds, the model and core are empty, and the context remains
+/// valid and reusable (scopes intact, tableau consistent). Since callers
+/// act on isSat()/isUnsat(), treating Unknown as "not proven" is sound
+/// everywhere: a feasibility check stays conservatively feasible, an
+/// entailment stays conservatively non-entailed.
 class CheckResult {
 public:
   enum class Status : uint8_t { Sat, Unsat, Unknown };
+  /// Why a check ended Unknown.
+  enum class UnknownCause : uint8_t {
+    Resources,   ///< The job's ResourceController tripped.
+    SplitDepth,  ///< The theory solver's split stack hit its depth bound.
+    Unsupported, ///< The formula is outside the supported array fragment.
+  };
 
   static CheckResult sat(Model M) {
     CheckResult R;
@@ -131,9 +148,10 @@ public:
     R.TheCore = std::move(C);
     return R;
   }
-  static CheckResult unknown() {
+  static CheckResult unknown(UnknownCause Cause = UnknownCause::Resources) {
     CheckResult R;
     R.St = Status::Unknown;
+    R.Cause = Cause;
     return R;
   }
 
@@ -141,6 +159,8 @@ public:
   bool isSat() const { return St == Status::Sat; }
   bool isUnsat() const { return St == Status::Unsat; }
   bool isUnknown() const { return St == Status::Unknown; }
+  /// Meaningful only when isUnknown().
+  UnknownCause unknownCause() const { return Cause; }
   /// The model (empty unless Sat).
   const Model &model() const { return TheModel; }
   /// The unsat core (empty unless Unsat).
@@ -149,6 +169,7 @@ public:
 private:
   CheckResult() = default;
   Status St = Status::Sat;
+  UnknownCause Cause = UnknownCause::Resources;
   Model TheModel;
   UnsatCore TheCore;
 };
@@ -223,10 +244,6 @@ public:
   /// theory lemmas persist across calls like those of any other check.
   CheckResult checkFormula(const Term *F);
 
-  /// Order-sensitive hash of the live assertion stack: two equal
-  /// fingerprints mean the same asserted state.
-  uint64_t assertionFingerprint() const { return Fingerprint; }
-
   /// Budget for deletable clauses (CDCL-learned clauses and theory
   /// lemmas). When a checkSat() leaves more than this many stored, the
   /// least active half is garbage-collected — so a long-lived context's
@@ -251,13 +268,19 @@ private:
     int SelectorVar = -1; ///< SAT selector guarding this scope's clauses.
     size_t AssertionMark; ///< Assertions.size() at push.
     size_t ComplexMark;   ///< NumComplexActive at push.
-    uint64_t SavedFingerprint;
   };
-  struct Assertion {
-    const Term *Formula;
+  /// What assertTerm and checkLazy need of a formula, computed once per
+  /// distinct formula: PDR re-asserts the same frame clauses in scope
+  /// after scope.
+  struct FormulaInfo {
     bool IsConjunction; ///< All conjuncts are literals (mirrored into the
                         ///< theory base).
-    std::vector<const Term *> Atoms; ///< Relational atoms of the formula.
+    std::vector<const Term *> Conjuncts; ///< Set when IsConjunction.
+    std::vector<const Term *> Atoms; ///< Relational atoms, in id order.
+  };
+  struct Assertion {
+    const FormulaInfo *Info;
+    size_t AtomMark; ///< LiveAtoms.size() before this assertion.
   };
 
   /// Tseitin-encodes \p F (cached across the context's lifetime) and
@@ -267,6 +290,9 @@ private:
   /// Selector literal of the innermost scope, created on demand; returns
   /// nullopt at depth 0 (permanent assertions need no guard).
   std::optional<Lit> currentSelector();
+  /// The memoized FormulaInfo of \p F (references stay valid for the
+  /// context's lifetime).
+  const FormulaInfo &infoOf(const Term *F);
 
   CheckResult checkConjunctions(const std::vector<const Term *> &Assumptions);
   CheckResult checkLazy(const std::vector<const Term *> &Assumptions);
@@ -276,12 +302,18 @@ private:
   TheoryConjSolver Theory;
   std::vector<Scope> Scopes;
   std::vector<Assertion> Assertions; ///< All live assertions, in order.
+  std::unordered_map<const Term *, FormulaInfo> Infos;
+  /// The atoms of the live assertions, each once, in the order they were
+  /// first asserted. A stack like Assertions: the atoms an assertion
+  /// introduced sit above its AtomMark, so pop() truncates.
+  std::vector<const Term *> LiveAtoms;
+  /// Term id -> number of live assertions mentioning that atom.
+  std::vector<uint32_t> AtomRefs;
   size_t NumComplexActive = 0; ///< Live assertions with boolean structure.
   /// Assertions made at depth 0. Their clauses are permanent units — no
   /// selector tracks them — so unsat cores from the lazy path must
   /// conservatively assume their participation.
   size_t NumPermanentAssertions = 0;
-  uint64_t Fingerprint = 0x9e3779b97f4a7c15ull;
   std::map<const Term *, Lit, TermIdLess> NodeLit; ///< Tseitin cache.
   size_t LearnedBudget = 20000;
   ContextStats Stats;

@@ -1031,6 +1031,7 @@ ConjResult TheoryConjSolver::solveFacts(std::vector<Fact> Facts, int Depth) {
   if (Depth >= MaxSplitDepth) {
     ConjResult R;
     R.Interrupted = true;
+    R.SplitDepthExhausted = true;
     return R;
   }
 

@@ -52,6 +52,10 @@ struct ConjResult {
   /// meaningless, but the solver (scopes, tableau, atom maps) is back in a
   /// valid, reusable state. Never a verdict.
   bool Interrupted = false;
+  /// Set together with Interrupted when no controller tripped: a split
+  /// stack reached the solver's fixed depth bound (a branch-and-bound
+  /// whose bounds never converge).
+  bool SplitDepthExhausted = false;
 };
 
 /// A bound lemma derived by the scoped branch-and-bound: the conjunction

@@ -208,6 +208,64 @@ TEST(PdrEngineTest, ReportsFrameStatistics) {
   EXPECT_GT(R.get().Stats.PdrClausesLearned, 0u);
 }
 
+// Update deliberately when the search changes: FORWARD under PDR issues
+// thousands of small frame queries, so a constant-factor change to the
+// query path (SAT store sweeps, memoized encodings) must leave every
+// count alone.
+TEST(PdrEngineTest, ForwardFrameQueryWorkIsPinned) {
+  EngineOptions Opts;
+  Opts.Engine = EngineKind::Pdr;
+  Verifier V(Opts);
+  auto R = V.verifySource(testprogs::Forward);
+  ASSERT_TRUE(R.hasValue());
+  const EngineStats &S = R.get().Stats;
+  EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
+  EXPECT_EQ(S.PdrFrameQueries, 13996u);
+  EXPECT_EQ(S.PdrObligations, 4531u);
+  EXPECT_EQ(S.PdrClausesLearned, 3558u);
+  EXPECT_EQ(S.PdrClausesPushed, 3450u);
+  EXPECT_EQ(S.PdrFrames, 34u);
+#ifdef NDEBUG
+  // Debug builds also assert verifyFrames at the fixpoint, whose checks
+  // spend pivots of their own on the job's solver.
+  EXPECT_EQ(S.Resources.Pivots, 43852u);
+#endif
+}
+
+// A scalar program whose frame queries send the theory solver's
+// branch-and-bound down a split stack that never converges: the verdict
+// stays Unknown, and the note names the split depth, not the array
+// fragment (the program has no arrays).
+TEST(PdrEngineTest, SplitDepthUnknownIsNamedInTheNote) {
+  const char *Source = R"(
+proc f(n) {
+  var x, y, i;
+  assume(n >= 0);
+  x = -2;
+  y = 1;
+  i = 0;
+  while (i < n) {
+    if (*) {
+      x = x - 1;
+      y = y + 0;
+    } else {
+      x = x - 2;
+      y = y + 3;
+    }
+    i = i + 1;
+  }
+  assert(3*x + y == -3*i - 5);
+}
+)";
+  EngineOptions Opts;
+  Opts.Engine = EngineKind::Pdr;
+  Verifier V(Opts);
+  auto R = V.verifySource(Source);
+  ASSERT_TRUE(R.hasValue());
+  EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Unknown);
+  EXPECT_EQ(R.get().Note, "pdr frame query exhausted the theory split depth");
+}
+
 //===----------------------------------------------------------------------===//
 // Three-way differential: cegar, pdr, portfolio agree everywhere
 //===----------------------------------------------------------------------===//

@@ -203,20 +203,36 @@ TEST_F(SolverContextTest, IntegralityAcrossScopes) {
   Ctx.pop();
 }
 
-TEST_F(SolverContextTest, FingerprintTracksScopes) {
-  uint64_t Empty = Ctx.assertionFingerprint();
+TEST_F(SolverContextTest, LazyCheckSeesOnlyLiveAtoms) {
+  // The lazy path hands the theory the atoms of live assertions only; an
+  // atom shared with a popped assertion stays while another live
+  // assertion still mentions it.
+  const Term *X = TM.mkVar("x", Sort::Int);
+  const Term *Z = TM.mkVar("z", Sort::Int);
+  const Term *W = TM.mkVar("w", Sort::Int);
   Ctx.push();
-  EXPECT_EQ(Ctx.assertionFingerprint(), Empty); // Push alone: same state.
-  Ctx.assertTerm(parse("x = 1"));
-  uint64_t WithX = Ctx.assertionFingerprint();
-  EXPECT_NE(WithX, Empty);
-  Ctx.pop();
-  EXPECT_EQ(Ctx.assertionFingerprint(), Empty);
-  // Same assertion sequence reproduces the same fingerprint.
+  Ctx.assertTerm(parse("x = 1 || z = 3"));
   Ctx.push();
-  Ctx.assertTerm(parse("x = 1"));
-  EXPECT_EQ(Ctx.assertionFingerprint(), WithX);
+  Ctx.assertTerm(parse("z = 3 || w = 4"));
+  smt::CheckResult Both = Ctx.checkSat();
+  ASSERT_TRUE(Both.isSat());
+  EXPECT_TRUE(Both.model().value(W).has_value());
   Ctx.pop();
+  smt::CheckResult Outer = Ctx.checkSat();
+  ASSERT_TRUE(Outer.isSat());
+  EXPECT_TRUE(Outer.model().value(X).has_value());
+  EXPECT_TRUE(Outer.model().value(Z).has_value());
+  EXPECT_FALSE(Outer.model().value(W).has_value());
+  // Re-asserting the popped formula brings its atoms back.
+  Ctx.push();
+  Ctx.assertTerm(parse("z = 3 || w = 4"));
+  Ctx.assertTerm(parse("z != 3"));
+  smt::CheckResult Again = Ctx.checkSat();
+  ASSERT_TRUE(Again.isSat());
+  EXPECT_EQ(*Again.model().value(W), Rational(4));
+  Ctx.pop();
+  Ctx.pop();
+  EXPECT_FALSE(Ctx.hasAssertions());
 }
 
 // --- One-shot checks under context state -----------------------------------
